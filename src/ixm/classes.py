@@ -23,12 +23,10 @@ from math import lcm
 from .cardinal import ALEPH0, ALEPH1, Card, card_cmp, fin, parse_card, render_card
 from .chart import (
     Chart,
+    ChartStats,
     bijection_between,
     chart_union,
-    dom_set,
-    extend_to_bijection,
     identity_on,
-    im_set,
     image_of_set,
     invert,
     is_partial_identity,
@@ -52,7 +50,6 @@ from .partition_action import (
     rho_of,
 )
 from .ultrafilter import (
-    Principal,
     ResidueTower,
     is_principal,
     parse_uf,
@@ -152,57 +149,61 @@ def in_F_ideal(f: Chart) -> bool:
 
 
 def in_class(c: ClassId, f: Chart) -> bool:
-    plain, inverse = _sides(c, f)
-    if c.variant == "plain":
+    return _pick(c.variant, _sides(c, f))
+
+
+def _pick(variant: str, sides: tuple[bool, bool]) -> bool:
+    plain, inverse = sides
+    if variant == "plain":
         return plain
-    if c.variant == "inverse":
+    if variant == "inverse":
         return inverse
     return plain and inverse
 
 
 def _sides(c: ClassId, f: Chart) -> tuple[bool, bool]:
     st = stats(f)
-    cf, df = st.collapse, st.defect
     if c.family == "S":
-        plain = card_cmp(cf, c.mu) >= 0 or card_cmp(df, c.mu) < 0
-        inverse = card_cmp(df, c.mu) >= 0 or card_cmp(cf, c.mu) < 0
-        return plain, inverse
+        return _threshold(st, c.mu, True, True, True)
+    if c.family == "A":
+        rho = rho_of(c.partition, f)
+        return (
+            rel_is_perm(rho) or not rel_dom_full(rho),
+            rel_is_perm(rho) or not rel_im_full(rho),
+        )
+    if st.rank.finite:
+        return True, True
     if c.family == "P":
-        if st.rank.finite:
-            return True, True
         keeps = image_of_set(f, c.gamma) == c.gamma
-        plain = (
-            card_cmp(cf, c.mu) >= 0
-            or not c.gamma.is_subset(st.dom)
-            or (keeps and card_cmp(df, c.mu) < 0)
+        return _threshold(
+            st, c.mu, c.gamma.is_subset(st.dom), c.gamma.is_subset(st.im), keeps
         )
-        inverse = (
-            card_cmp(df, c.mu) >= 0
-            or not c.gamma.is_subset(st.im)
-            or (keeps and card_cmp(cf, c.mu) < 0)
-        )
-        return plain, inverse
-    if c.family == "V":
-        if st.rank.finite:
-            return True, True
-        dom_in = uf_contains(c.uf, st.dom)
-        im_in = uf_contains(c.uf, st.im)
-        stab = dom_in and im_in and stabilises_filter(c.uf, f, check_witness=False)[0]
-        plain = (
-            card_cmp(cf, c.mu) >= 0
-            or not dom_in
-            or (stab and card_cmp(df, c.mu) < 0)
-        )
-        inverse = (
-            card_cmp(df, c.mu) >= 0
-            or not im_in
-            or (stab and card_cmp(cf, c.mu) < 0)
-        )
-        return plain, inverse
-    rho = rho_of(c.partition, f)
-    plain = rel_is_perm(rho) or not rel_dom_full(rho)
-    inverse = rel_is_perm(rho) or not rel_im_full(rho)
+    return _filter_sides(c, st, f, _piece_stab)
+
+
+def _threshold(
+    st: ChartStats, mu: Card, dom_ok: bool, im_ok: bool, stab: bool
+) -> tuple[bool, bool]:
+    """The rule shared by S, P and V.  The plain class holds a chart whose
+    collapse reaches mu, whose domain fails the anchor test (holding gamma
+    for P, being accepted for V), or which stabilises the anchor with defect
+    below mu; the inverse class swaps collapse with defect and domain with
+    image.  S has no anchor: every bit is true."""
+    cf, df = st.collapse, st.defect
+    plain = card_cmp(cf, mu) >= 0 or not dom_ok or (stab and card_cmp(df, mu) < 0)
+    inverse = card_cmp(df, mu) >= 0 or not im_ok or (stab and card_cmp(cf, mu) < 0)
     return plain, inverse
+
+
+def _filter_sides(c: ClassId, st: ChartStats, f: Chart, stabilises) -> tuple[bool, bool]:
+    dom_in = uf_contains(c.uf, st.dom)
+    im_in = uf_contains(c.uf, st.im)
+    stab = dom_in and im_in and stabilises(c.uf, f)
+    return _threshold(st, c.mu, dom_in, im_in, stab)
+
+
+def _piece_stab(uf, f: Chart) -> bool:
+    return stabilises_filter(uf, f, check_witness=False)[0]
 
 
 def in_class_v_alt(c: ClassId, f: Chart) -> bool:
@@ -217,19 +218,7 @@ def in_class_v_alt(c: ClassId, f: Chart) -> bool:
     st = stats(f)
     if st.rank.finite:
         return True
-    cf, df = st.collapse, st.defect
-    dom_in = uf_contains(c.uf, st.dom)
-    im_in = uf_contains(c.uf, st.im)
-    stab = dom_in and im_in and _quantified_stab(c.uf, f)
-    plain = card_cmp(cf, c.mu) >= 0 or not dom_in or (stab and card_cmp(df, c.mu) < 0)
-    inverse = (
-        card_cmp(df, c.mu) >= 0 or not im_in or (stab and card_cmp(cf, c.mu) < 0)
-    )
-    if c.variant == "plain":
-        return plain
-    if c.variant == "inverse":
-        return inverse
-    return plain and inverse
+    return _pick(c.variant, _filter_sides(c, st, f, _quantified_stab))
 
 
 def _quantified_stab(uf, f: Chart) -> bool:
@@ -512,10 +501,6 @@ def _w_v_s(c1: ClassId, c2: ClassId) -> Chart:
         "with the low threshold the filter class is contained in the "
         "threshold class; see the admissibility note",
     )
-
-
-def _mixing_perm() -> Chart:
-    return make_chart((), (_piece(0, 2, 1, 2), _piece(1, 2, 0, 2)))
 
 
 def _w_s_v(c1: ClassId, c2: ClassId) -> Chart:
@@ -825,13 +810,13 @@ def parse_class(text: str) -> ClassId:
         )
     family, variant = _TOKEN_FAMILY[token]
     fields = {}
-    if body:
+    if family == "A" and body.startswith("part "):
+        # A partition literal carries its own "=" signs.
+        fields["part-literal"] = body
+    elif body:
         for chunk in body.split(";"):
             k, eq, v = chunk.partition("=")
             if not eq:
-                if family == "A" and k.strip().startswith("part "):
-                    fields["part-literal"] = k.strip()
-                    continue
                 raise ParseError(f"bad parameter chunk {chunk!r} in {text!r}")
             fields[k.strip()] = v.strip()
     try:
@@ -852,7 +837,8 @@ def parse_class(text: str) -> ClassId:
                 gamma=from_finite(pts),
             )
         if family == "V":
-            uf = parse_uf("uf " + _need(fields, "uf", text))
+            uf_text = _need(fields, "uf", text)
+            uf = parse_uf("uf " + ("tower []" if uf_text == "tower" else uf_text))
             return ClassId(
                 family, variant, mu=parse_card(_need(fields, "mu", text)), uf=uf
             )

@@ -336,26 +336,6 @@ def union_all(sets) -> EPSet:
     return acc
 
 
-def ep_boolean(op: str, a: EPSet, b: EPSet | None = None) -> EPSet:
-    """Dispatch by operation name; used by the command line front end."""
-    if op == "complement":
-        return a.complement()
-    if b is None:
-        raise ParameterError(f"operation {op!r} needs two operands")
-    if op == "union":
-        return a.union(b)
-    if op == "intersection":
-        return a.intersect(b)
-    if op == "difference":
-        return a.difference(b)
-    raise ParameterError(f"unknown set operation {op!r}")
-
-
-def sample_window(a: EPSet) -> int:
-    """Upper end of the agreement window used by randomized law checks."""
-    return 4 * a.period + a.threshold
-
-
 # -- Text format ---------------------------------------------------------
 
 

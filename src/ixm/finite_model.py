@@ -145,17 +145,31 @@ def partial_identities(n: int) -> frozenset:
 # -- Generic closure ----------------------------------------------------------
 
 
-def semigroup_closure(gens, mul) -> frozenset:
-    elements = set(gens)
-    frontier = set(gens)
-    while frontier:
-        fresh = set()
+def semigroup_closure(gens, mul, base=frozenset(), stop: int | None = None) -> frozenset:
+    """The subsemigroup generated by ``gens`` together with ``base``.
+
+    ``base`` must already be closed under ``mul``: products of two base
+    elements are never formed.  Every new element is multiplied on both
+    sides by each generator, the base elements included, which reaches
+    every word in them.  With ``stop`` set, the search ends as soon as at
+    least that many elements are known, so the result may then fall short
+    of the closure; to ask "is this everything?" pass the size of everything.
+    """
+    limit = float("inf") if stop is None else stop
+    elements = set(base)
+    frontier = [g for g in dict.fromkeys(gens) if g not in elements]
+    elements.update(frontier)
+    multipliers = list(elements)
+    while frontier and len(elements) < limit:
+        fresh = []
         for a in frontier:
-            for b in elements:
-                for c in (mul(a, b), mul(b, a)):
-                    if c not in elements and c not in fresh:
-                        fresh.add(c)
-        elements |= fresh
+            for g in multipliers:
+                for c in (mul(a, g), mul(g, a)):
+                    if c not in elements:
+                        elements.add(c)
+                        fresh.append(c)
+                        if len(elements) >= limit:
+                            return frozenset(elements)
         frontier = fresh
     return frozenset(elements)
 
@@ -263,28 +277,11 @@ def is_maximal(m, n: int) -> bool:
         raise ParameterError("candidate is not closed under composition")
     if mset == universe:
         raise ParameterError("candidate is the whole monoid, hence not proper")
-    for x in universe - mset:
-        if _closure_with(mset, x, len(universe)) != len(universe):
-            return False
-    return True
-
-
-def _closure_with(closed: set, x, stop: int) -> int:
-    elements = set(closed)
-    elements.add(x)
-    frontier = {x}
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in elements:
-                for c in (fchart_compose(a, b), fchart_compose(b, a)):
-                    if c not in elements and c not in fresh:
-                        fresh.add(c)
-        elements |= fresh
-        frontier = fresh
-        if len(elements) == stop:
-            return stop
-    return len(elements)
+    whole = len(universe)
+    return all(
+        len(semigroup_closure((x,), fchart_compose, base=mset, stop=whole)) == whole
+        for x in universe - mset
+    )
 
 
 @dataclass(frozen=True)

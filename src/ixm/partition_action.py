@@ -28,14 +28,12 @@ from .chart import (
     chart_union,
     compose,
     defect_of,
-    dom_set,
     extend_to_bijection,
     identity_on,
     im_set,
     image_of_set,
     is_total,
     preimage_of_set,
-    stats,
 )
 from .epset import EPSet, NATURALS, residue_class, union_all
 from .errors import ParameterError, ParseError, ResourceGuardError
@@ -404,11 +402,8 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
     if delta == fin(0):
         raise ParameterError("the chart is surjective; there is nothing to spread")
 
-    if delta.infinite:
-        word = [("gen", f)]
-    else:
-        word = [("gen", f)] * p.n
-    w = _replay(word)
+    word = [("gen", f)] * (1 if delta.infinite else p.n)
+    w = FactoredChart(None, tuple(word)).replay()
 
     for i in range(p.n):
         if card_cmp(_missing_card(p, w, i), delta) >= 0:
@@ -445,13 +440,6 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
         if card_cmp(_missing_card(p, w, i), delta) < 0:
             raise ParameterError("internal error: spreading left a block short")
     return FactoredChart(w, tuple(word))
-
-
-def _replay(word) -> Chart:
-    acc = None
-    for _, c in word:
-        acc = c if acc is None else compose(acc, c)
-    return acc
 
 
 def _missing_card(p: FinPartition, w: Chart, i: int) -> Card:

@@ -14,9 +14,7 @@ from .chart import (
     Chart,
     IDENTITY_CHART,
     Piece,
-    chart_union,
     bijection_between,
-    compose,
     identity_on,
     invert,
     make_chart,
@@ -168,10 +166,6 @@ def random_nonempty_fchart(rng: random.Random, n: int):
         u = random_fchart(rng, n)
         if any(y is not None for y in u):
             return u
-
-
-def random_ftrans(rng: random.Random, n: int):
-    return tuple(rng.randrange(n) for _ in range(n))
 
 
 # -- Oracles and partitions ----------------------------------------------------

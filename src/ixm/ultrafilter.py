@@ -21,17 +21,10 @@ rejected image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
-from .chart import Chart, dom_set, im_set, image_of_set, is_permutation
-from .epset import (
-    EPSet,
-    NATURALS,
-    Prog,
-    from_finite,
-    from_prog,
-    make_epset,
-)
+from .chart import Chart, dom_set, im_set, image_of_set
+from .epset import EPSet, NATURALS, Prog, from_finite, from_prog
 from .errors import ParameterError, ParseError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -100,14 +93,12 @@ class ResidueTower:
         if m < 1:
             raise ParameterError("modulus must be positive")
         rem, mod = 0, 1
-        chosen = {p: (a, r) for p, a, r in self.choices}
+        # Above the chosen exponent the higher digits are zero, so the tower
+        # point is the literal integer r at that prime.
+        chosen = {p: r for p, _, r in self.choices}
         for p, k in _factorize(m).items():
             pk = p**k
-            if p in chosen:
-                a, r = chosen[p]
-                local = r % pk if k <= a else _lift_residue(r, p, a, k)
-            else:
-                local = 0
+            local = chosen.get(p, 0) % pk
             # combine rem (mod mod) with local (mod pk)
             inv = pow(mod, -1, pk)
             rem = rem + mod * ((local - rem) * inv % pk)
@@ -117,13 +108,6 @@ class ResidueTower:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _, _ in self.choices)
-
-
-def _lift_residue(r: int, p: int, a: int, k: int) -> int:
-    """Residue mod p**k for k > a: higher digits default to zero, i.e. the
-    tower point is the literal integer r at this prime."""
-    del p, a, k
-    return r
 
 
 def make_tower(entries) -> ResidueTower:

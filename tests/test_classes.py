@@ -1,0 +1,132 @@
+"""Membership in the candidate maximal classes S, P, V and A."""
+
+from dataclasses import replace
+
+import pytest
+
+from ixm.cardinal import ALEPH0, ALEPH1, fin
+from ixm.chart import IDENTITY_CHART, Piece, invert, make_chart
+from ixm.classes import (
+    ClassId,
+    dual_class,
+    in_class,
+    in_class_v_alt,
+    parse_class,
+    render_class,
+)
+from ixm.epset import Prog, from_finite, from_prog
+from ixm.errors import ParameterError
+from ixm.partition_action import make_partition, mod_partition
+from ixm.sampling import make_rng, random_mixed
+from ixm.ultrafilter import ZERO_TOWER, make_tower
+
+DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
+CHARTS = {
+    "identity": IDENTITY_CHART,
+    "shift": make_chart((), (Piece(Prog(0, 1), Prog(1, 1)),)),
+    "double": DOUBLE,
+    "halve": invert(DOUBLE),
+    "finite": make_chart(((0, 1), (1, 0)), ()),
+}
+
+GAMMA = from_finite([0])
+CLASSES = {
+    "S1": ClassId("S", mu=fin(1)),
+    "S0": ClassId("S", mu=ALEPH0),
+    "P0": ClassId("P", mu=ALEPH0, gamma=GAMMA),
+    "P1": ClassId("P", mu=ALEPH1, gamma=GAMMA),
+    "V0": ClassId("V", mu=ALEPH0, uf=ZERO_TOWER),
+    "V1": ClassId("V", mu=ALEPH1, uf=ZERO_TOWER),
+    "A2": ClassId("A", partition=mod_partition(2)),
+}
+
+# (plain, inverse) membership; the meet is their conjunction.
+T, F = True, False
+TABLE = {
+    "identity": {c: (T, T) for c in CLASSES},
+    "shift": {"S1": (F, T), "S0": (T, T), "P0": (F, T), "P1": (F, T),
+              "V0": (F, F), "V1": (F, F), "A2": (T, T)},
+    "double": {"S1": (F, T), "S0": (F, T), "P0": (F, T), "P1": (T, T),
+               "V0": (F, T), "V1": (T, T), "A2": (F, T)},
+    "halve": {"S1": (T, F), "S0": (T, F), "P0": (T, F), "P1": (T, T),
+              "V0": (T, F), "V1": (T, T), "A2": (T, F)},
+    "finite": {c: (T, T) for c in CLASSES},
+}
+
+
+def variant(c: ClassId, v: str) -> ClassId:
+    return replace(c, variant=v)
+
+
+def every_class():
+    for c in CLASSES.values():
+        for v in ("plain", "inverse", "meet"):
+            yield variant(c, v)
+
+
+def sample_charts(count=40, seed=7):
+    rng = make_rng(seed)
+    return list(CHARTS.values()) + [random_mixed(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+@pytest.mark.parametrize("cls", sorted(CLASSES))
+def test_truth_table(cls, chart):
+    c, f = CLASSES[cls], CHARTS[chart]
+    plain, inverse = TABLE[chart][cls]
+    assert in_class(variant(c, "plain"), f) == plain
+    assert in_class(variant(c, "inverse"), f) == inverse
+    assert in_class(variant(c, "meet"), f) == (plain and inverse)
+
+
+def test_meet_is_plain_and_inverse():
+    for f in sample_charts():
+        for c in CLASSES.values():
+            both = in_class(variant(c, "plain"), f) and in_class(variant(c, "inverse"), f)
+            assert in_class(variant(c, "meet"), f) == both
+
+
+def test_mirror_duality():
+    for f in sample_charts():
+        finv = invert(f)
+        for c in every_class():
+            assert in_class(c, f) == in_class(dual_class(c), finv)
+
+
+def test_alternative_form_agrees_on_filter_classes():
+    towers = (ZERO_TOWER, make_tower([(2, 1, 1)]), make_tower([(3, 2, 4)]))
+    for f in sample_charts():
+        for uf in towers:
+            for mu in (ALEPH0, ALEPH1):
+                for v in ("plain", "inverse", "meet"):
+                    c = ClassId("V", v, mu=mu, uf=uf)
+                    assert in_class_v_alt(c, f) == in_class(c, f)
+
+
+def test_alternative_form_is_filter_only():
+    with pytest.raises(ParameterError):
+        in_class_v_alt(CLASSES["S0"], IDENTITY_CHART)
+
+
+def test_text_round_trip():
+    extra = [
+        ClassId("V", "meet", mu=ALEPH0, uf=make_tower([(2, 2, 3), (5, 1, 2)])),
+        ClassId("P", "inverse", mu=ALEPH1, gamma=from_finite([1, 4, 9])),
+        ClassId("A", "meet", partition=mod_partition(5)),
+    ]
+    for c in [*every_class(), *extra]:
+        if c.uf != ZERO_TOWER:
+            assert parse_class(render_class(c)) == c
+
+
+def test_round_trip_of_the_shortened_forms():
+    # The empty tower renders as the bare word "tower", and a partition that
+    # is not a residue partition renders as a literal containing "=".
+    lopsided = make_partition(
+        (from_prog(Prog(0, 4)), from_prog(Prog(2, 4)), from_prog(Prog(1, 2)))
+    )
+    classes = [ClassId("A", "inverse", partition=lopsided)]
+    classes += [variant(CLASSES["V0"], v) for v in ("plain", "inverse", "meet")]
+    for c in classes:
+        assert parse_class(render_class(c)) == c
+    assert render_class(CLASSES["V0"]) == "V[uf=tower;mu=aleph0]"

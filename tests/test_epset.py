@@ -8,7 +8,6 @@ from ixm.epset import (
     NATURALS,
     EPSet,
     Prog,
-    ep_boolean,
     from_finite,
     from_prog,
     make_epset,
@@ -132,16 +131,6 @@ class TestBooleanOps:
 
     def test_difference(self):
         assert NATURALS.difference(ODDS) == EVENS
-
-    def test_ep_boolean_dispatch(self):
-        assert ep_boolean("union", EVENS, ODDS) == NATURALS
-        assert ep_boolean("intersection", EVENS, MULT3) == MULT6
-        assert ep_boolean("difference", NATURALS, ODDS) == EVENS
-        assert ep_boolean("complement", EVENS) == ODDS
-        with pytest.raises(ParameterError):
-            ep_boolean("xor", EVENS, ODDS)
-        with pytest.raises(ParameterError):
-            ep_boolean("union", EVENS)
 
     def test_ops_match_pointwise_oracle(self):
         rng = make_rng(23)

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixm.errors import ParameterError, ResourceGuardError
 from ixm.finite_model import (
@@ -31,10 +33,27 @@ from ixm.finite_model import (
     partial_identities,
     predicted_finite_maximals,
     render_fchart,
+    semigroup_closure,
     strict_ideal,
     sym_group,
 )
 from ixm.sampling import make_rng, random_fchart, random_nonempty_fchart
+
+
+def naive_closure(gens):
+    """Multiply every element by every other until nothing new appears."""
+    elements = set(gens)
+    while True:
+        fresh = {fchart_compose(a, b) for a in elements for b in elements} - elements
+        if not fresh:
+            return elements
+        elements |= fresh
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(st.sampled_from(all_fcharts(n)), min_size=1, max_size=4))
 
 
 def sizes(families):
@@ -126,6 +145,28 @@ class TestClosure:
     def test_permutations_plus_corank_one_generate_everything(self):
         gens = list(sym_group(3)) + [(1, 0, None)]
         assert len(fchart_closure(gens)) == 34
+
+    def test_benchmark_generators_give_the_whole_monoid(self):
+        # A 4-cycle, an adjacent transposition and a rank-3 partial identity.
+        gens = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 1, 2, None)]
+        assert fchart_closure(gens) == set(all_fcharts(4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_matches_naive_fixed_point(self, gens):
+        assert fchart_closure(gens) == naive_closure(gens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_sets(), st.data())
+    def test_closed_base_and_early_stop(self, gens, data):
+        base = fchart_closure(gens)
+        x = data.draw(st.sampled_from(all_fcharts(len(gens[0]))))
+        want = naive_closure(base | {x})
+        assert semigroup_closure([x], fchart_compose, base=base) == want
+        assert semigroup_closure([x], fchart_compose, base=base, stop=len(want)) == want
+        # One element past the base is reached before any product is formed.
+        part = semigroup_closure([x], fchart_compose, base=base, stop=len(base) + 1)
+        assert part == base | {x}
 
     def test_is_closed(self):
         assert is_closed(sym_group(3))
@@ -277,6 +318,14 @@ class TestPredictions:
         groups = maximal_subgroups(4)
         assert sorted(len(g) for g in groups) == [6, 6, 6, 6, 8, 8, 8, 12]
         assert len(predicted_finite_maximals(4)) == 9
+
+    @pytest.mark.parametrize(
+        "n,orders", [(3, [2, 2, 2, 3]), (4, [6, 6, 6, 6, 8, 8, 8, 12])]
+    )
+    def test_maximal_subgroup_orders(self, n, orders):
+        groups = maximal_subgroups(n)
+        assert sorted(len(g) for g in groups) == orders
+        assert all(is_closed(g) for g in groups)
 
     def test_all_predictions_are_maximal(self):
         for n in (2, 3):
