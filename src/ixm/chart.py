@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cardinal import ALEPH0, Card, ZERO, fin
+from .cardinal import ALEPH0, Card, ZERO
 from .epset import (
     EMPTY,
     EPSet,

@@ -57,7 +57,7 @@ from .partition_action import (
     render_rel,
     rho_of,
 )
-from .ultrafilter import parse_uf, render_uf, stabilises_filter, uf_contains, uf_min
+from .ultrafilter import parse_uf, stabilises_filter, uf_contains, uf_min
 
 
 def _family_hash(sets) -> str:

@@ -2,20 +2,29 @@
 
 An EPSet is determined by a threshold N, a period m, a residue set
 R <= Z_m describing membership at and beyond N, and an explicit low part
-L <= {0..N-1}.  Canonical form uses the minimal period of the tail and
-then the minimal threshold for that period, so structural equality is
-extensional equality.  The class is closed under the Boolean operations,
-which is what makes the symbolic side of the workbench decidable.
+L <= {0..N-1}.  R and L are stored as int bitmasks (`Bits`), and every
+Boolean operation is one bitwise operation on both sides lifted to the
+joint period and threshold (`_combine`).  Canonical form uses the minimal
+period of the tail and then the minimal threshold for that period, so
+structural equality is extensional equality.  The class is closed under
+the Boolean operations, which is what makes the symbolic side of the
+workbench decidable.  Masks are capped at MAX_BITS bits: a threshold or
+(joint) period beyond it raises ResourceGuardError before anything is
+allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import and_, invert, or_
 
 from .cardinal import ALEPH0, Card, fin
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, ResourceGuardError
+
+MAX_BITS = 2**24  # widest residue or low-part mask an EPSet may hold
 
 
 @dataclass(frozen=True, order=True)
@@ -80,26 +89,37 @@ def progs_intersect(a: Prog, b: Prog) -> Prog | None:
     return None
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+class Bits(int):
+    """A finite set of naturals held as an int bitmask: x is in it iff bit x is set.
+
+    It stays an int, so equality and hashing are the int's; it adds the set
+    protocol that callers read: membership, ascending iteration and size.
+    """
+
+    __slots__ = ()
+
+    def __contains__(self, x: int) -> bool:
+        return x >= 0 and (self >> x) & 1 == 1
+
+    def __iter__(self):
+        digits = bin(self)[:1:-1]  # bit x is digits[x]
+        x = digits.find("1")
+        while x >= 0:
+            yield x
+            x = digits.find("1", x + 1)
+
+    def __len__(self) -> int:
+        return self.bit_count()
 
 
 @dataclass(frozen=True)
 class EPSet:
+    """Canonical fields; neither mask is wider than MAX_BITS bits."""
+
     threshold: int
     period: int
-    residues: frozenset[int]
-    low: frozenset[int]
+    residues: Bits  # bit r set iff x = r (mod period) is a member for x >= threshold
+    low: Bits  # the members below threshold
 
     def __contains__(self, x: int) -> bool:
         if x < self.threshold:
@@ -110,7 +130,7 @@ class EPSet:
         return self.iter_ascending()
 
     def iter_ascending(self):
-        yield from sorted(self.low)
+        yield from self.low
         if not self.residues:
             return
         x = self.threshold
@@ -122,18 +142,16 @@ class EPSet:
     # -- Boolean algebra -------------------------------------------------
 
     def union(self, other: "EPSet") -> "EPSet":
-        return _combine(self, other, lambda p, q: p or q)
+        return _combine((self, other), _any)
 
     def intersect(self, other: "EPSet") -> "EPSet":
-        return _combine(self, other, lambda p, q: p and q)
+        return _combine((self, other), and_)
 
     def difference(self, other: "EPSet") -> "EPSet":
-        return _combine(self, other, lambda p, q: p and not q)
+        return _combine((self, other), lambda a, b: a & ~b)
 
     def complement(self) -> "EPSet":
-        res = frozenset(range(self.period)) - self.residues
-        low = frozenset(range(self.threshold)) - self.low
-        return make_epset(self.threshold, self.period, res, low)
+        return _combine((self,), invert)
 
     def is_subset(self, other: "EPSet") -> bool:
         return self.difference(other).is_empty()
@@ -153,10 +171,10 @@ class EPSet:
     def decompose(self) -> tuple[list[Prog], list[int]]:
         """Disjoint progressions covering the tail, plus the finite part."""
         progs = []
-        for r in sorted(self.residues):
+        for r in self.residues:
             first = self.threshold + ((r - self.threshold) % self.period)
             progs.append(Prog(first, self.period))
-        return progs, sorted(self.low)
+        return progs, list(self.low)
 
     def split(self, parts: int) -> list["EPSet"]:
         """Partition an infinite set into `parts` infinite pieces."""
@@ -169,11 +187,7 @@ class EPSet:
         progs, low = self.decompose()
         head = progs[0].split(parts)
         out = [from_prog(p) for p in head]
-        rest = EMPTY
-        for p in progs[1:]:
-            rest = rest.union(from_prog(p))
-        rest = rest.union(from_finite(low))
-        out[0] = out[0].union(rest)
+        out[0] = union_all([out[0], from_finite(low)] + [from_prog(p) for p in progs[1:]])
         return out
 
     def take_first(self, k: int) -> "EPSet":
@@ -191,88 +205,72 @@ class EPSet:
         return f"EPSet({render_epset(self)!r})"
 
 
+def _guard(threshold: int, period: int) -> None:
+    if max(threshold, period) > MAX_BITS:
+        raise ResourceGuardError(
+            f"threshold {threshold} or period {period} exceeds the {MAX_BITS}-bit mask limit"
+        )
+
+
+def _full(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _repeat(bits: int, p: int, n: int) -> int:
+    """The first n bits of the p-bit pattern `bits` repeated forever."""
+    while p < n:
+        bits |= bits << p
+        p *= 2
+    return bits & _full(n)
+
+
+def _mask(xs, width: int) -> int:
+    """The mask of the points xs, which must lie in [0, width)."""
+    buf = bytearray(width // 8 + 1)
+    for x in xs:
+        if not 0 <= x < width:
+            raise ParameterError("low part entries must lie in [0, threshold)")
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
 def make_epset(threshold: int, period: int, residues, low) -> EPSet:
     """Build an EPSet in canonical form from an arbitrary description."""
     if period <= 0:
         raise ParameterError("period must be positive")
     if threshold < 0:
         raise ParameterError("threshold must be >= 0")
-    res = {r % period for r in residues}
-    lowset = set(low)
-    if any(x < 0 or x >= threshold for x in lowset):
-        raise ParameterError("low part entries must lie in [0, threshold)")
-
-    # Minimal period: repeatedly divide out primes p for which the residue
-    # set is invariant under adding period/p.
-    m = period
-    changed = True
-    while changed:
-        changed = False
-        for p in _prime_factors(m):
-            d = m // p
-            if all((c + d) % m in res for c in res):
-                res = {c % d for c in res}
-                m = d
-                changed = True
-                break
-
-    # Minimal threshold: one more than the largest point below the boundary
-    # where explicit membership disagrees with the tail formula.  Checking
-    # only low points and, per residue, the first tail hit missing from the
-    # low set keeps this independent of the boundary's magnitude.
-    n = 0
-    for x in lowset:
-        if x % m not in res:
-            n = max(n, x + 1)
-    for r in res:
-        if threshold > r:
-            x = threshold - 1 - ((threshold - 1 - r) % m)
-            while x >= 0 and x in lowset:
-                x -= m
-            n = max(n, x + 1)
-    lowset = {x for x in lowset if x < n}
-    return EPSet(n, m, frozenset(res), frozenset(lowset))
+    _guard(threshold, period)
+    res = _mask((r % period for r in residues), period)
+    return _canonical(threshold, period, res, _mask(low, threshold))
 
 
-def _combine(a: EPSet, b: EPSet, op) -> EPSet:
-    # Classes mod lcm are generated from each side's residues rather than by
-    # sweeping the whole range, so the cost follows the descriptions involved
-    # instead of the lcm, which compounds quickly under repeated unions.
-    tt, tf = op(True, True), op(True, False)
-    ft, ff = op(False, True), op(False, False)
-    ma, mb = a.period, b.period
-    m = lcm(ma, mb)
-    n = max(a.threshold, b.threshold)
-    if ff:  # pragma: no cover - no shipped operation keeps "neither" classes
-        res = {
-            c
-            for c in range(m)
-            if op(c % ma in a.residues, c % mb in b.residues)
-        }
-    else:
-        res = set()
-        a_classes = len(a.residues) * (m // ma)
-        b_classes = len(b.residues) * (m // mb)
-        sweep_a = tf or (tt and (ft or a_classes <= b_classes))
-        if sweep_a:
-            for x in a.residues:
-                for r in range(x, m, ma):
-                    if r % mb in b.residues:
-                        if tt:
-                            res.add(r)
-                    elif tf:
-                        res.add(r)
-        if ft or (tt and not sweep_a):
-            keep_both = tt and not sweep_a
-            for y in b.residues:
-                for r in range(y, m, mb):
-                    if r % ma in a.residues:
-                        if keep_both:
-                            res.add(r)
-                    elif ft:
-                        res.add(r)
-    low = {x for x in range(n) if op(x in a, x in b)}
-    return make_epset(n, m, res, low)
+def _canonical(n: int, m: int, res: int, low: int) -> EPSet:
+    # Minimal period: the least rotation that maps the m-bit residue word to
+    # itself, found as the word's first recurrence inside itself doubled.
+    word = format(res, f"0{m}b")
+    m = (word + word).find(word, 1)
+    res &= _full(m)
+    # Minimal threshold: one past the last point where the low part
+    # disagrees with the tail pattern.
+    n = (low ^ _repeat(res, m, n)).bit_length()
+    return EPSet(n, m, Bits(res), Bits(low & _full(n)))
+
+
+def _combine(sets, op) -> EPSet:
+    """The one Boolean kernel: lift every set to the joint period and
+    threshold, apply the bitwise `op` to the residue masks and to the low
+    masks, and canonicalise."""
+    m = lcm(*(s.period for s in sets))
+    n = max(s.threshold for s in sets)
+    _guard(n, m)
+    res = op(*(_repeat(s.residues, s.period, m) for s in sets))
+    low = op(*(s.low | _repeat(s.residues, s.period, n) & ~_full(s.threshold) for s in sets))
+    return _canonical(n, m, res & _full(m), low & _full(n))
+
+
+def _any(*masks: int) -> int:
+    return functools.reduce(or_, masks)
 
 
 EMPTY = make_epset(0, 1, (), ())
@@ -299,11 +297,10 @@ def union_all(sets) -> EPSet:
 
     A plain left fold re-expresses the accumulated residue set over every
     intermediate lcm, which blows up when many parts carry large mixed
-    periods.  Instead, parts sharing a period are merged first (their
-    residue sets union directly, and canonicalisation often shrinks the
-    period, e.g. when split families tile a coarser class), repeating
-    while periods keep collapsing; the leftovers are folded smallest
-    joint period first.
+    periods.  Instead, parts sharing a period are merged first (one kernel
+    call per period, and canonicalisation often shrinks the period, e.g.
+    when split families tile a coarser class), repeating while periods
+    keep collapsing; the leftovers are folded smallest joint period first.
     """
     items = [s for s in sets if not s.is_empty()]
     if not items:
@@ -314,20 +311,7 @@ def union_all(sets) -> EPSet:
             groups.setdefault(s.period, []).append(s)
         if all(len(g) == 1 for g in groups.values()):
             break
-        items = []
-        for m, grp in groups.items():
-            if len(grp) == 1:
-                items.append(grp[0])
-                continue
-            n = max(s.threshold for s in grp)
-            res = frozenset().union(*(s.residues for s in grp))
-            low = set()
-            for s in grp:
-                low |= s.low
-                for r in s.residues:
-                    first = s.threshold + (r - s.threshold) % m
-                    low.update(range(first, n, m))
-            items.append(make_epset(n, m, res, low))
+        items = [_combine(grp, _any) for grp in groups.values()]
     acc = items[0]
     rest = items[1:]
     while rest:
@@ -340,8 +324,8 @@ def union_all(sets) -> EPSet:
 
 
 def render_epset(s: EPSet) -> str:
-    res = ",".join(str(r) for r in sorted(s.residues))
-    low = ",".join(str(x) for x in sorted(s.low))
+    res = ",".join(map(str, s.residues))
+    low = ",".join(map(str, s.low))
     return f"ep N={s.threshold} m={s.period} R={{{res}}} L={{{low}}}"
 
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .cardinal import ALEPH0, ALEPH1, Card, card_add, card_cmp, fin, render_card
+from .cardinal import ALEPH0, ALEPH1, Card, card_add, card_cmp, fin
 from .chart import (
     Chart,
     EMPTY_CHART,
@@ -38,7 +38,6 @@ from .chart import (
     is_total,
     make_chart,
     preimage_of_set,
-    rank_of,
     restrict,
     stats,
     transposition,
@@ -96,7 +95,6 @@ from .finite_model import (
     predicted_finite_maximals,
     render_fchart,
     strict_ideal,
-    sym_group,
 )
 from .partition_action import (
     BinRel,
@@ -107,7 +105,6 @@ from .partition_action import (
     block_stabilises,
     canonical_rel,
     defect_spreader,
-    full_relation_word,
     mod_partition,
     nxn_closure_check,
     padding_perm,
@@ -115,7 +112,6 @@ from .partition_action import (
     rel_compose,
     rel_converse,
     rel_dom_full,
-    rel_full,
     rel_identity,
     rel_im_full,
     rel_is_perm,
@@ -123,9 +119,7 @@ from .partition_action import (
 )
 from .sampling import (
     make_rng,
-    random_chart,
     random_epset,
-    random_infinite_epset,
     random_mixed,
     random_moiety,
     random_nonempty_fchart,
@@ -1155,10 +1149,11 @@ def _suite_nxn_n3(ctx, rng, cases):
     rels = all_relations(3)
     rhos = [r for r in rels if rel_dom_full(r) and not rel_is_perm(r)]
     sigmas = [r for r in rels if rel_im_full(r) and not rel_is_perm(r)]
+    canon = {r: canonical_rel(r) for r in rhos + sigmas}
     reps = {}
     for rho in rhos:
         for sigma in sigmas:
-            key = (canonical_rel(rho), canonical_rel(sigma))
+            key = (canon[rho], canon[sigma])
             if key not in reps:
                 reps[key] = (rho, sigma)
     for rho, sigma in reps.values():

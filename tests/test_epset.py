@@ -1,11 +1,18 @@
 """Eventually periodic subsets of the naturals: canonical form and algebra."""
 
+import functools
+from math import lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixm.cardinal import ALEPH0, fin
 from ixm.epset import (
     EMPTY,
+    MAX_BITS,
     NATURALS,
+    Bits,
     EPSet,
     Prog,
     from_finite,
@@ -19,7 +26,7 @@ from ixm.epset import (
     residue_class,
     union_all,
 )
-from ixm.errors import ParameterError, ParseError
+from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.sampling import make_rng, random_epset
 
 EVENS = residue_class(0, 2)
@@ -101,12 +108,12 @@ class TestCanonicalForm:
         # disagreement is the missing 3, pinning the threshold at 4.
         s = make_epset(9, 3, (0,), {1, 6})
         assert s.threshold == 4
-        assert s.low == frozenset({1})
+        assert set(s.low) == {1}
         assert members(s) == {1} | set(range(6, 120, 3))
 
     def test_finite_sets_have_period_one(self):
         s = make_epset(10, 6, (), {2, 9})
-        assert s.period == 1 and s.residues == frozenset()
+        assert s.period == 1 and set(s.residues) == set()
         assert s.card() == fin(2)
 
     def test_validation(self):
@@ -299,3 +306,127 @@ class TestText:
     def test_parse_rejects(self, bad):
         with pytest.raises((ParseError, ParameterError)):
             parse_epset(bad)
+
+
+# -- Properties against a pointwise reference -------------------------------
+#
+# A description (N, m, R, L) is read pointwise: x is a member iff x is in L
+# when x < N, and x mod m is in R otherwise.  Thresholds reach 500 and
+# periods 200, so masks cross many 64-bit words.  R repeats a word of some
+# divisor of m, and L follows the tail pattern from a random cut on, so
+# that canonical form often shrinks both the period and the threshold.
+
+
+@st.composite
+def descriptions(draw, periods=st.integers(1, 200)):
+    m = draw(periods)
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    word = draw(st.integers(0, 2**d - 1))
+    res = [r for r in range(m) if word >> (r % d) & 1]
+    n = draw(st.integers(0, 500))
+    cut = draw(st.integers(0, n))
+    noise = draw(st.integers(0, 2**cut - 1))
+    low = [x for x in range(n) if (word >> (x % d) & 1) != (noise >> x & 1)]
+    return n, m, res, low
+
+
+def described(desc, hi: int) -> set:
+    n, m, res, low = desc
+    res, low = set(res), set(low)
+    return {x for x in range(hi) if (x in low if x < n else x % m in res)}
+
+
+DIVISORS_OF_720 = st.sampled_from([d for d in range(1, 201) if 720 % d == 0])
+
+
+def window(*descs) -> int:
+    return max(d[0] for d in descs) + lcm(*(d[1] for d in descs))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(descriptions())
+    def test_canonical_form_is_minimal_and_faithful(self, desc):
+        s = make_epset(*desc)
+        assert members(s, window(desc)) == described(desc, window(desc))
+        # No smaller period repeats the tail, and the point just below the
+        # threshold disagrees with the tail pattern.
+        tail = set(s.residues)
+        for d in range(1, s.period):
+            if s.period % d == 0:
+                assert any((r + d) % s.period not in tail for r in tail)
+        if s.threshold:
+            x = s.threshold - 1
+            assert (x in s.low) != (x % s.period in s.residues)
+
+    @settings(max_examples=60, deadline=None)
+    @given(descriptions(), descriptions())
+    def test_boolean_ops_match_pointwise(self, da, db):
+        a, b = make_epset(*da), make_epset(*db)
+        hi = window(da, db)
+        ma, mb = described(da, hi), described(db, hi)
+        assert members(a.union(b), hi) == ma | mb
+        assert members(a.intersect(b), hi) == ma & mb
+        assert members(a.difference(b), hi) == ma - mb
+        assert members(a.complement(), hi) == set(range(hi)) - ma
+        assert a.is_subset(b) == (ma <= mb)
+        assert a.card() == (ALEPH0 if da[2] else fin(len(ma)))
+
+    # Periods divide 720, so the fold's joint period stays small.
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(descriptions(DIVISORS_OF_720), min_size=1, max_size=5))
+    def test_union_all_is_a_fold_of_union(self, descs):
+        fam = [make_epset(*d) for d in descs]
+        got = union_all(fam)
+        assert got == functools.reduce(EPSet.union, fam, EMPTY)
+        hi = window(*descs)
+        assert members(got, hi) == set().union(*(described(d, hi) for d in descs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(descriptions())
+    def test_text_round_trip(self, desc):
+        s = make_epset(*desc)
+        assert parse_epset(render_epset(s)) == s
+
+
+class TestBits:
+    def test_wide_mask_is_a_set(self):
+        pts = [0, 1, 63, 64, 65, 4095, 10_000, 12_345, 20_000]
+        b = Bits(sum(1 << x for x in pts))
+        assert list(b) == pts and sorted(b) == pts
+        assert len(b) == len(pts) and max(b) == 20_000
+        assert all(x in b for x in pts)
+        assert not any(x in b for x in (-1, 2, 62, 66, 19_999, 20_001, 10**9))
+
+    def test_dense_wide_mask(self):
+        b = Bits((1 << 30_000) - 1)
+        assert len(b) == 30_000 and list(b) == list(range(30_000))
+
+    def test_fields_are_masks(self):
+        s = make_epset(9, 3, (0,), {1, 6})
+        assert isinstance(s.residues, Bits) and isinstance(s.low, Bits)
+        assert s.residues == 0b1 and s.low == 0b10
+
+
+class TestSizeGuard:
+    def test_threshold_beyond_the_cap(self):
+        with pytest.raises(ResourceGuardError):
+            from_finite([MAX_BITS])
+        with pytest.raises(ResourceGuardError):
+            parse_epset(f"ep N={MAX_BITS + 1} m=1 R={{}} L={{}}")
+
+    def test_period_beyond_the_cap(self):
+        with pytest.raises(ResourceGuardError):
+            residue_class(0, MAX_BITS + 1)
+
+    def test_joint_period_beyond_the_cap(self):
+        # Both periods are small; their lcm 25,005,000 is not.
+        a, b = residue_class(0, 5000), residue_class(0, 5001)
+        with pytest.raises(ResourceGuardError):
+            a.union(b)
+        with pytest.raises(ResourceGuardError):
+            union_all([a, b])
+
+    def test_at_the_cap(self):
+        s = from_finite([MAX_BITS - 1])
+        assert s.threshold == MAX_BITS and s.card() == fin(1)
