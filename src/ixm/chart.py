@@ -21,10 +21,10 @@ extensional equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from .cardinal import ALEPH0, Card, ZERO
 from .epset import (
@@ -61,6 +61,8 @@ class Piece:
 class Chart:
     pairs: frozenset[tuple[int, int]]
     pieces: tuple[Piece, ...]
+    # Index of `pairs` for point lookup; derived, so not part of identity.
+    pair_map: dict[int, int] = field(compare=False, hash=False, repr=False)
 
     def __mul__(self, other: "Chart") -> "Chart":
         return compose(self, other)
@@ -102,6 +104,13 @@ def _canonicalize(
     follows the rule, absorbing pairs that extend it downward.  Elements of
     the old pieces left before a canonical start become plain pairs.  The
     output depends only on the map, not on its presentation.
+
+    Every walk is bounded by its own residue class: the walk down for a new
+    piece starts at the latest first point of the old pieces in its class,
+    and an old piece is walked only up to the canonical start of each class
+    it meets, past which its points lie on the new piece.  For given steps,
+    the cost is linear in the pieces, the pairs and the demoted points, and
+    does not depend on how far apart the pieces start.
     """
     if not pieces:
         return dict(pair_map), []
@@ -122,32 +131,45 @@ def _canonicalize(
         groups.setdefault((slope, intercept), []).append(pc)
 
     new_pieces: list[Piece] = []
+    # Old piece -> the points it keeps below the canonical starts.
+    early: dict[Piece, list[int]] = {}
     for (slope, _), grp in groups.items():
-        span = 1
-        for pc in grp:
-            span = span * pc.src.step // gcd(span, pc.src.step)
-        classes = {
-            (pc.src.first + j * pc.src.step) % span
+        span = lcm(*(pc.src.step for pc in grp))
+        # Each class mod span belongs to one old piece; keep its first point.
+        owner_first = {
+            c % span: pc.src.first
             for pc in grp
-            for j in range(span // pc.src.step)
+            for c in range(pc.src.first, pc.src.first + span, pc.src.step)
         }
         period = span
         for d in _divisors(span):
-            if all((c + d) % span in classes for c in classes):
+            if all((c + d) % span in owner_first for c in owner_first):
                 period = d
                 break
         step_out = slope * period
         if step_out.denominator != 1:  # pragma: no cover - impossible for valid input
             raise ParameterError("piece group with fractional output step")
         step_out = int(step_out)
-        hi = max(pc.src.first for pc in grp) + span
-        for r in sorted({c % period for c in classes}):
-            v = r + -(-(hi - r) // period) * period
+        # From the latest first point of a class on, old pieces cover it.
+        tops: dict[int, int] = {}
+        for c, first in owner_first.items():
+            tops[c % period] = max(tops.get(c % period, 0), first)
+        starts: dict[int, int] = {}
+        for r, top in tops.items():
+            v = r + -(-(top - r) // period) * period
             y = lookup(v)
             while v - period >= 0 and y - step_out >= 0 and lookup(v - period) == y - step_out:
                 v -= period
                 y -= step_out
+            starts[r] = v
             new_pieces.append(Piece(Prog(v, period), Prog(y, step_out)))
+        for pc in grp:
+            stride = lcm(pc.src.step, period)
+            early[pc] = sorted(
+                x
+                for x0 in range(pc.src.first, pc.src.first + stride, pc.src.step)
+                for x in range(x0, starts[x0 % period], stride)
+            )
 
     new_pieces.sort()
 
@@ -155,13 +177,10 @@ def _canonicalize(
         return any(x in pc.src for pc in new_pieces)
 
     out_pairs = {x: y for x, y in pair_map.items() if not covered(x)}
-    top = max(pc.src.first for pc in new_pieces)
     for pc in pieces:
-        x = pc.src.first
-        while x < top:
+        for x in early[pc]:
             if not covered(x):
                 out_pairs[x] = pc.apply(x)
-            x += pc.src.step
     return out_pairs, new_pieces
 
 
@@ -177,9 +196,9 @@ def make_chart(pairs, pieces) -> Chart:
             raise InjectivityError(f"point {x} is sent to both {pair_map[x]} and {y}")
         pair_map[x] = y
 
-    _validate(Chart(frozenset(pair_map.items()), tuple(sorted(piece_list))))
+    _validate(Chart(frozenset(pair_map.items()), tuple(sorted(piece_list)), pair_map))
     pair_map, piece_list = _canonicalize(pair_map, piece_list)
-    chart = Chart(frozenset(pair_map.items()), tuple(piece_list))
+    chart = Chart(frozenset(pair_map.items()), tuple(piece_list), pair_map)
     _validate(chart)
     return chart
 
@@ -216,13 +235,8 @@ IDENTITY_CHART = make_chart((), (Piece(Prog(0, 1), Prog(0, 1)),))
 # -- Point evaluation ------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
-def _pair_map(c: Chart) -> dict[int, int]:
-    return dict(c.pairs)
-
-
 def apply_chart(c: Chart, x: int) -> int | None:
-    y = _pair_map(c).get(x)
+    y = c.pair_map.get(x)
     if y is not None:
         return y
     for pc in c.pieces:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failures, 2 usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -287,6 +288,9 @@ def _cmd_conditions(args) -> int:
     return 0 if rep.ok else 1
 
 
+# Building the tree costs more than a small query, and parsing leaves it
+# unchanged, so one process builds it once, on first use.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ixm",

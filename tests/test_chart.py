@@ -1,6 +1,10 @@
 """Partial bijections of the naturals: construction, algebra, factorisation."""
 
+from math import gcd, lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ixm.cardinal import ALEPH0, ZERO, fin
 from ixm.chart import (
@@ -437,3 +441,117 @@ class TestText:
     def test_parse_rejects_non_injective(self):
         with pytest.raises(InjectivityError):
             parse_chart("chart { pair 0 -> 1; pair 0 -> 2; }")
+
+
+# -- Canonical form against a pointwise model --------------------------------
+#
+# A model sends x to k*x + g on each class c mod m from the class's own start
+# on, where g < k is the class's rule group, and sends a few points below the
+# starts to k*x + b for some b < k; distinct (x, g) give distinct values, so
+# the map is injective.  Group 0 owns some classes mod a proper divisor p of
+# m, each with its own base and every class mod m with its own offset, so
+# its pieces merge into coarser canonical pieces and demote their early
+# points; group 1 starts far away.  Each model has two presentations: one
+# piece per class mod m, and one that joins classes into the coarsest
+# progression they fill, splits it into interleaved sub-progressions (whose
+# steps need not be multiples of the canonical period) and gives each one's
+# points before its start as pairs.
+
+
+def _rule_piece(first: int, step: int, k: int, g: int) -> Piece:
+    return Piece(Prog(first, step), Prog(k * first + g, k * step))
+
+
+@st.composite
+def chart_models(draw):
+    m = draw(st.sampled_from([8, 12]))
+    k = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([p for p in range(2, m) if m % p == 0]))
+    own = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p - 1))
+    near = {r: draw(st.integers(0, 60)) for r in sorted(own)}
+    far = draw(st.integers(100, 400))
+    c1 = draw(st.sampled_from([c for c in range(m) if c % p not in own]))
+    base = [0, far] + [draw(st.sampled_from([0, far])) for _ in range(2, k)]
+    group, start = {}, {}
+    for c in range(m):
+        if c % p in own:
+            g, b = 0, near[c % p]
+        else:
+            g = 1 if c == c1 else draw(st.sampled_from([None, *range(1, k)]))
+            if g is None:
+                continue
+            b = base[g]
+        group[c] = g
+        start[c] = c + m * (b + draw(st.integers(0, 25)))
+    pairs = {}
+    for x in draw(st.lists(st.integers(0, m * (far + 26)), max_size=6)):
+        if x % m not in start or x < start[x % m]:
+            pairs[x] = k * x + draw(st.integers(0, k - 1))
+
+    plain = [_rule_piece(start[c], m, k, g) for c, g in group.items()]
+
+    other_pairs = dict(pairs)
+    other = []
+    used = set()
+    for c in sorted(group):
+        if c in used:
+            continue
+        g = group[c]
+        s = min(
+            s
+            for s in range(1, m + 1)
+            if m % s == 0 and all(group.get(c2) == g and c2 not in used for c2 in range(c % s, m, s))
+        )
+        used.update(range(c % s, m, s))
+        parts = draw(st.integers(1, 3))
+        step = s * parts
+        for r in range(c % s, step, s):
+            # Start past every class the sub-progression meets, plus a head.
+            touched = range(r % gcd(step, m), m, gcd(step, m))
+            first = max(start[c2] for c2 in touched)
+            first += (r - first) % step + step * draw(st.integers(0, 2))
+            other_pairs.update((x, k * x + g) for x in range(r, first, step) if x >= start[x % m])
+            other.append(_rule_piece(first, step, k, g))
+
+    def model(x: int) -> int | None:
+        c = x % m
+        if c in start and x >= start[c]:
+            return k * x + group[c]
+        return pairs.get(x)
+
+    steps = [pc.src.step for pc in plain + other]
+    window = max(start.values()) + 2 * lcm(*steps)
+    return (list(pairs.items()), plain), (list(other_pairs.items()), other), model, window
+
+
+class TestCanonicalize:
+    @settings(max_examples=80, deadline=None)
+    @given(chart_models())
+    def test_canonical_form_is_faithful_and_presentation_free(self, drawn):
+        (pairs, plain), (other_pairs, other), model, window = drawn
+        c = make_chart(pairs, plain)
+        assert make_chart(other_pairs, other) == c
+        assert all(apply_chart(c, x) == model(x) for x in range(window))
+        assert make_chart(c.pairs, c.pieces) == c
+
+    def test_merged_group_demotes_its_early_points(self):
+        c = make_chart(
+            (), (Piece(Prog(0, 2), Prog(0, 2)), Piece(Prog(103, 2), Prog(103, 2)))
+        )
+        assert c.pieces == (Piece(Prog(102, 1), Prog(102, 1)),)
+        assert c.pairs == frozenset((x, x) for x in range(0, 102, 2))
+        assert c.pair_map == dict(c.pairs)
+
+    def test_piece_across_canonical_classes_demotes_in_each(self):
+        # The sources are the evens and 1 mod 4, so the canonical period is 4.
+        # Each step-6 piece meets both even classes mod 4, and 2 mod 4 starts
+        # at 26 (10 and 22 are missing) while 0 mod 4 starts at 0.
+        def ident(first, step):
+            return Piece(Prog(first, step), Prog(first, step))
+
+        c = make_chart(
+            [(x, x) for x in (0, 1, 2, 4, 5, 16, 28)],
+            [ident(6, 6), ident(8, 6), ident(34, 6), ident(9, 4)],
+        )
+        assert c.pieces == (ident(0, 4), ident(1, 4), ident(26, 4))
+        assert c.pairs == frozenset((x, x) for x in (2, 6, 14, 18))

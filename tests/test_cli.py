@@ -1,8 +1,18 @@
-"""Command-line entry point: exit codes of the chart commands under the size guard."""
+"""Command-line entry point: exit codes, the size guard, latency of chart
+canonicalisation, and reuse of the parser within one process."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import ixm
 from ixm.cli import main
+
+SRC = str(Path(ixm.__file__).resolve().parent.parent)
 
 
 def test_huge_chart_point_is_refused_quickly(capsys):
@@ -17,3 +27,63 @@ def test_large_chart_point_below_the_cap(capsys):
     out = capsys.readouterr().out
     assert "dom=ep N=10000001 m=1 R={} L={10000000}" in out
     assert "im=ep N=1 m=1 R={} L={0}" in out
+
+
+def test_pieces_far_apart_canonicalise_quickly(capsys):
+    # Two rule groups 10**7 apart: canonicalisation must not walk the gap.
+    text = (
+        "chart { piece (0 mod 2 from 0) -> (0 mod 4 from 0); "
+        "piece (1 mod 2 from 10000000) -> (1 mod 2 from 10000000); }"
+    )
+    start = time.perf_counter()
+    assert main(["chart", "parse", text]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["chart", "stats", "chart { pair 0 -> 1; }"], 0),
+        (["class", "member", "S[mu=aleph0]", "chart { pair 0 -> 0; }"], 0),
+        (["uf", "contains", "uf principal 3", "ep N=5 m=1 R={} L={3}"], 0),
+        (["rel", "rho", "part mod 2", "chart { piece (0 mod 1 from 0) -> (0 mod 2 from 0); }"], 0),
+        (["class", "witness", "S[mu=aleph0]", "S[mu=aleph0]"], 1),
+        (["chart", "frobnicate", "chart { }"], 2),
+        (["chart", "stats", "chart { pair 1 -> ; }"], 2),
+        (["class", "member", "S[mu=1]", "chart { }"], 2),
+        (["chart", "stats", "chart { pair 1000000000 -> 0; }"], 3),
+    ],
+)
+def test_exit_codes(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out.startswith("refused: ")
+    if code >= 2:
+        assert err and not out
+
+
+def _fresh(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "ixm", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_matches_a_fresh_process(capsys, monkeypatch):
+    # Help is wrapped to $COLUMNS, so both sides get the same width.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = [
+        ["chart", "frobnicate", "chart { }"],
+        ["--help"],
+        ["class", "--help"],
+        [],
+        ["chart", "invert", "chart { pair 0 -> 1; }"],
+        ["chart", "frobnicate", "chart { }"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh(argv, env), argv
