@@ -22,9 +22,8 @@ extensional equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .cardinal import ALEPH0, Card, ZERO
 from .epset import (
@@ -40,7 +39,10 @@ from .epset import (
     render_prog,
     union_all,
 )
-from .errors import InjectivityError, ParameterError
+from .errors import InjectivityError, InternalError, ParameterError, ResourceGuardError
+
+MAX_GROUP_CLASSES = 2**12  # most residue classes one piece group may hold mod its span
+MAX_DEMOTED = 2**16  # most points canonicalisation may demote to pairs
 
 
 @dataclass(frozen=True, order=True)
@@ -80,37 +82,51 @@ class Chart:
 # -- Construction and canonical form --------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _least_period(classes: list[int], span: int) -> int:
+    """The least shift mod span that maps the residues `classes` onto themselves.
+
+    The residues are read as the cyclic word of gaps between neighbours, and
+    the shift is the first recurrence of that word inside itself doubled (the
+    rotation trick of `epset._canonical`), at a cost linear in the classes
+    whatever the span.  Every gap starts with a comma, and any run of as many
+    consecutive gaps as there are classes sums to span, so a recurrence is a
+    whole rotation of the gaps.
+    """
+    cs = sorted(classes)
+    cs.append(cs[0] + span)
+    word = "".join(f",{y - x}" for x, y in zip(cs, cs[1:]))
+    return cs[word.count(",", 0, (word + word).find(word, 1))] - cs[0]
+
+
+# A piece as the ints (src.first, src.step, dst.first, dst.step); tuples of
+# these sort in the order of their Pieces.
+PieceInts = tuple[int, int, int, int]
 
 
 def _canonicalize(
-    pair_map: dict[int, int], pieces: list[Piece]
-) -> tuple[dict[int, int], list[Piece]]:
+    pair_map: dict[int, int], pieces: list[PieceInts]
+) -> tuple[dict[int, int], list[PieceInts]]:
     """Rewrite (pairs, pieces) as the canonical presentation of the same map.
 
-    Pieces are grouped by the affine rule they apply; each group's source
-    classes are re-expressed with the minimal period of their union, and each
-    resulting piece starts at the least point from which its whole class
-    follows the rule, absorbing pairs that extend it downward.  Elements of
-    the old pieces left before a canonical start become plain pairs.  The
-    output depends only on the map, not on its presentation.
+    Pieces are grouped by the affine rule x -> (a*x + c)/b they apply, keyed
+    by the integers (a, b, c) with a/b the slope in lowest terms; each
+    group's source classes are re-expressed with the least period of their
+    union (`_least_period`), and each resulting piece starts at the least
+    point from which its whole class follows the rule, absorbing pairs that
+    extend it downward.  Elements of the old pieces left before a canonical
+    start become plain pairs.  The output depends only on the map, not on
+    its presentation; its pieces come sorted.
 
     Every walk is bounded by its own residue class: the walk down for a new
     piece starts at the latest first point of the old pieces in its class,
     and an old piece is walked only up to the canonical start of each class
     it meets, past which its points lie on the new piece.  For given steps,
     the cost is linear in the pieces, the pairs and the demoted points, and
-    does not depend on how far apart the pieces start.
+    does not depend on how far apart the pieces start.  Both sizes that the
+    input does not bound are counted from the steps and starts before
+    anything is allocated: ResourceGuardError refuses a group with more
+    than MAX_GROUP_CLASSES classes mod the lcm of its steps, and more than
+    MAX_DEMOTED demoted points in all.
     """
     if not pieces:
         return dict(pair_map), []
@@ -119,37 +135,36 @@ def _canonicalize(
         y = pair_map.get(x)
         if y is not None:
             return y
-        for pc in pieces:
-            if x in pc.src:
-                return pc.apply(x)
+        for sf, ss, df, ds in pieces:
+            if x >= sf and (x - sf) % ss == 0:
+                return df + (x - sf) // ss * ds
         return None
 
-    groups: dict[tuple[Fraction, Fraction], list[Piece]] = {}
+    groups: dict[tuple[int, int, int], list[PieceInts]] = {}
     for pc in pieces:
-        slope = Fraction(pc.dst.step, pc.src.step)
-        intercept = pc.dst.first - slope * pc.src.first
-        groups.setdefault((slope, intercept), []).append(pc)
+        sf, ss, df, ds = pc
+        g = gcd(ss, ds)
+        a, b = ds // g, ss // g
+        groups.setdefault((a, b, df * b - a * sf), []).append(pc)
 
-    new_pieces: list[Piece] = []
+    new_pieces: list[PieceInts] = []
     # Old piece -> the points it keeps below the canonical starts.
-    early: dict[Piece, list[int]] = {}
-    for (slope, _), grp in groups.items():
-        span = lcm(*(pc.src.step for pc in grp))
+    early: dict[PieceInts, list[int]] = {}
+    demoted = 0
+    for (a, b, _), grp in groups.items():
+        span = lcm(*(ss for _, ss, _, _ in grp))
+        classes = sum(span // ss for _, ss, _, _ in grp)
+        if classes > MAX_GROUP_CLASSES:
+            raise ResourceGuardError(
+                f"a piece group has {classes} residue classes mod {span}, "
+                f"more than {MAX_GROUP_CLASSES}"
+            )
         # Each class mod span belongs to one old piece; keep its first point.
-        owner_first = {
-            c % span: pc.src.first
-            for pc in grp
-            for c in range(pc.src.first, pc.src.first + span, pc.src.step)
-        }
-        period = span
-        for d in _divisors(span):
-            if all((c + d) % span in owner_first for c in owner_first):
-                period = d
-                break
-        step_out = slope * period
-        if step_out.denominator != 1:  # pragma: no cover - impossible for valid input
-            raise ParameterError("piece group with fractional output step")
-        step_out = int(step_out)
+        owner_first = {c % span: sf for sf, ss, _, _ in grp for c in range(sf, sf + span, ss)}
+        period = span if len(grp) == 1 else _least_period(list(owner_first), span)
+        step_out, rest = divmod(a * period, b)
+        if rest:  # pragma: no cover - impossible for valid input
+            raise InternalError("internal error: piece group with fractional output step")
         # From the latest first point of a class on, old pieces cover it.
         tops: dict[int, int] = {}
         for c, first in owner_first.items():
@@ -162,30 +177,34 @@ def _canonicalize(
                 v -= period
                 y -= step_out
             starts[r] = v
-            new_pieces.append(Piece(Prog(v, period), Prog(y, step_out)))
+            new_pieces.append((v, period, y, step_out))
         for pc in grp:
-            stride = lcm(pc.src.step, period)
-            early[pc] = sorted(
-                x
-                for x0 in range(pc.src.first, pc.src.first + stride, pc.src.step)
-                for x in range(x0, starts[x0 % period], stride)
-            )
+            sf, ss, _, _ = pc
+            stride = lcm(ss, period)
+            runs = [range(x0, starts[x0 % period], stride) for x0 in range(sf, sf + stride, ss)]
+            demoted += sum(map(len, runs))
+            if demoted > MAX_DEMOTED:
+                raise ResourceGuardError(
+                    f"canonical form would demote more than {MAX_DEMOTED} points to pairs"
+                )
+            early[pc] = sorted(x for run in runs for x in run)
 
     new_pieces.sort()
 
     def covered(x: int) -> bool:
-        return any(x in pc.src for pc in new_pieces)
+        return any(x >= sf and (x - sf) % ss == 0 for sf, ss, _, _ in new_pieces)
 
     out_pairs = {x: y for x, y in pair_map.items() if not covered(x)}
     for pc in pieces:
+        sf, ss, df, ds = pc
         for x in early[pc]:
             if not covered(x):
-                out_pairs[x] = pc.apply(x)
+                out_pairs[x] = df + (x - sf) // ss * ds
     return out_pairs, new_pieces
 
 
 def make_chart(pairs, pieces) -> Chart:
-    piece_list = list(pieces)
+    given = [(pc.src.first, pc.src.step, pc.dst.first, pc.dst.step) for pc in pieces]
 
     pair_map: dict[int, int] = {}
     for x, y in pairs:
@@ -196,35 +215,38 @@ def make_chart(pairs, pieces) -> Chart:
             raise InjectivityError(f"point {x} is sent to both {pair_map[x]} and {y}")
         pair_map[x] = y
 
-    _validate(Chart(frozenset(pair_map.items()), tuple(sorted(piece_list)), pair_map))
-    pair_map, piece_list = _canonicalize(pair_map, piece_list)
-    chart = Chart(frozenset(pair_map.items()), tuple(piece_list), pair_map)
-    _validate(chart)
-    return chart
+    _validate(frozenset(pair_map.items()), sorted(given))
+    pair_map, canonical = _canonicalize(pair_map, given)
+    pair_set = frozenset(pair_map.items())
+    _validate(pair_set, canonical)
+    return Chart(
+        pair_set,
+        tuple(Piece(Prog(sf, ss), Prog(df, ds)) for sf, ss, df, ds in canonical),
+        pair_map,
+    )
 
 
-def _validate(c: Chart) -> None:
+def _validate(pairs: frozenset[tuple[int, int]], pieces: list[PieceInts]) -> None:
+    """Raise InjectivityError if two of the pairs and pieces share a source or a
+    destination.  The pieces come sorted, which fixes the clash that is named."""
     seen_y: dict[int, int] = {}
-    for x, y in c.pairs:
+    for x, y in pairs:
         if y in seen_y:
             raise InjectivityError(f"points {seen_y[y]} and {x} both map to {y}")
         seen_y[y] = x
-    for i, a in enumerate(c.pieces):
-        for b in c.pieces[i + 1 :]:
-            clash = progs_intersect(a.src, b.src)
-            if clash is not None:
-                raise InjectivityError(
-                    f"piece sources overlap at {clash.first}"
-                )
-            clash = progs_intersect(a.dst, b.dst)
-            if clash is not None:
-                raise InjectivityError(
-                    f"piece destinations overlap at {clash.first}"
-                )
-        for x, y in c.pairs:
-            if x in a.src:
+    for i, (sf, ss, df, ds) in enumerate(pieces):
+        for sf2, ss2, df2, ds2 in pieces[i + 1 :]:
+            # Two progressions meet iff their starts agree mod the gcd of their steps.
+            if (sf2 - sf) % gcd(ss, ss2) == 0:
+                clash = progs_intersect(Prog(sf, ss), Prog(sf2, ss2))
+                raise InjectivityError(f"piece sources overlap at {clash.first}")
+            if (df2 - df) % gcd(ds, ds2) == 0:
+                clash = progs_intersect(Prog(df, ds), Prog(df2, ds2))
+                raise InjectivityError(f"piece destinations overlap at {clash.first}")
+        for x, y in pairs:
+            if x >= sf and (x - sf) % ss == 0:
                 raise InjectivityError(f"pair source {x} lies on a piece source")
-            if y in a.dst:
+            if y >= df and (y - df) % ds == 0:
                 raise InjectivityError(f"pair destination {y} lies on a piece destination")
 
 

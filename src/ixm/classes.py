@@ -36,7 +36,7 @@ from .chart import (
     transposition,
 )
 from .epset import EPSet, NATURALS, Prog, from_finite, from_prog, residue_class
-from .errors import ParameterError, ParseError, UnsupportedWitnessError
+from .errors import InternalError, ParameterError, ParseError, UnsupportedWitnessError
 from .partition_action import (
     FinPartition,
     almost_block_stabilises,
@@ -284,9 +284,9 @@ def separating_witness(c1: ClassId, c2: ClassId) -> Chart:
     """
     w = _find_witness(c1, c2)
     if not in_class(c1, w):
-        raise ParameterError("internal error: witness misses its home class")
+        raise InternalError("internal error: witness misses its home class")
     if in_class(c2, w):
-        raise ParameterError("internal error: witness landed in the avoided class")
+        raise InternalError("internal error: witness landed in the avoided class")
     return w
 
 
@@ -746,7 +746,7 @@ def excluding_maximal(h: Chart) -> ClassId:
     x = _moved_point(h)
     c = ClassId("P", "plain", mu=ALEPH1, gamma=from_finite([x]))
     if in_class(c, h):
-        raise ParameterError("internal error: the excluding class failed to exclude")
+        raise InternalError("internal error: the excluding class failed to exclude")
     return c
 
 

@@ -7,7 +7,7 @@ stats/apply), ``class`` (member/witness/dual/admissible/exclude), ``uf``
 ``conditions`` (candidate-family audit).
 
 Exit codes: 0 success, 1 check failures, 2 usage or parse errors,
-3 resource guard.
+3 resource guard, 4 internal error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,14 @@ from .classes import (
     separating_witness,
 )
 from .epset import parse_epset, render_epset
-from .errors import IxmError, ParameterError, ParseError, ResourceGuardError, UnsupportedWitnessError
+from .errors import (
+    InternalError,
+    IxmError,
+    ParameterError,
+    ParseError,
+    ResourceGuardError,
+    UnsupportedWitnessError,
+)
 from .finite_model import (
     completeness_search,
     fchart_closure,
@@ -356,6 +363,9 @@ def main(argv=None) -> int:
     except (ParseError, ParameterError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    except InternalError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     except IxmError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

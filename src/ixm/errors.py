@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
 The CLI maps these onto process exit codes: parse and usage problems exit
-with 2, resource guards with 3, and ordinary suite failures with 1.
+with 2, resource guards with 3, internal faults (InternalError) with 4, and
+ordinary suite failures and every other error with 1.
 """
 
 
@@ -23,6 +24,11 @@ class InjectivityError(IxmError):
 
 class ResourceGuardError(IxmError):
     """A size or wall-clock guard refused to run the computation."""
+
+
+class InternalError(IxmError):
+    """A result failed the workbench's own postcondition: a fault in ixm,
+    not in its input.  It deliberately is not a ParameterError."""
 
 
 class UnsupportedWitnessError(IxmError):

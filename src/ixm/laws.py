@@ -68,7 +68,7 @@ from .epset import (
     render_epset,
     residue_class,
 )
-from .errors import ParameterError, ResourceGuardError, UnsupportedWitnessError
+from .errors import InternalError, ParameterError, ResourceGuardError, UnsupportedWitnessError
 from .finite_model import (
     all_fcharts,
     completeness_search,
@@ -749,7 +749,7 @@ def _suite_witnesses(ctx, rng, cases):
         distinct.add(c2)
         try:
             w = separating_witness(c1, c2)
-        except (UnsupportedWitnessError, ParameterError) as e:
+        except (UnsupportedWitnessError, ParameterError, InternalError) as e:
             ctx.check(
                 False,
                 f"{render_class(c1)} vs {render_class(c2)}: {e}",
@@ -771,7 +771,7 @@ def _suite_witnesses(ctx, rng, cases):
             continue
         except UnsupportedWitnessError:
             ctx.check(True, "refused")
-        except ParameterError as e:
+        except (ParameterError, InternalError) as e:
             ctx.check(False, f"{render_class(c1)} vs {render_class(c2)}: {e}")
             continue
         leak = next(
@@ -966,7 +966,7 @@ def _suite_padding(ctx, rng, cases):
         f, g = random_mixed(rng), random_mixed(rng)
         try:
             a = padding_perm(p, f, g)
-        except ParameterError as e:
+        except (ParameterError, InternalError) as e:
             ctx.check(False, f"exact case {i}: {e}")
             continue
         ctx.check(is_permutation(a), f"exact case {i}: padding is not a permutation")
@@ -1006,7 +1006,7 @@ def _suite_sandwich(ctx, rng, cases):
         h = specials[i] if i < len(specials) else random_mixed(rng)
         try:
             p = sandwich_factorize(h, f, g, y)
-        except ParameterError as e:
+        except (ParameterError, InternalError) as e:
             ctx.check(False, f"case {i}: {e}")
             continue
         ctx.check(is_permutation(p), f"case {i}: middle factor is not a permutation")
@@ -1049,7 +1049,7 @@ def _suite_spreader(ctx, rng, cases):
             continue
         try:
             out = defect_spreader(p, f)
-        except ParameterError as e:
+        except (ParameterError, InternalError) as e:
             ctx.check(False, f"case {i}: {e}")
             continue
         ctx.equal(out.replay(), out.chart, f"case {i}: word replay")
@@ -1092,7 +1092,7 @@ def _suite_evader(ctx, rng, cases):
     for idx, (p, f, g, h) in enumerate(bundles):
         try:
             out = block_evader(p, f, g, h)
-        except ParameterError as e:
+        except (ParameterError, InternalError) as e:
             ctx.check(False, f"bundle {idx}: {e}")
             continue
         ctx.check(is_total(out.chart), f"bundle {idx}: result is not total")

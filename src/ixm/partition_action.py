@@ -36,7 +36,7 @@ from .chart import (
     preimage_of_set,
 )
 from .epset import EPSet, NATURALS, residue_class, union_all
-from .errors import ParameterError, ParseError, ResourceGuardError
+from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 
 # -- Partitions -------------------------------------------------------------------
@@ -371,7 +371,7 @@ def padding_perm(p: FinPartition, f: Chart, g: Chart) -> Chart:
     want = rel_compose(rf, rg)
     got = rho_of(p, compose(compose(f, a), g))
     if got != want:
-        raise ParameterError("internal error: padding permutation missed its target")
+        raise InternalError("internal error: padding permutation missed its target")
     return a
 
 
@@ -438,7 +438,7 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
 
     for i in range(p.n):
         if card_cmp(_missing_card(p, w, i), delta) < 0:
-            raise ParameterError("internal error: spreading left a block short")
+            raise InternalError("internal error: spreading left a block short")
     return FactoredChart(w, tuple(word))
 
 
@@ -450,7 +450,7 @@ def _donor_block(p: FinPartition, w: Chart, delta: Card) -> int:
     for s in range(p.n):
         if card_cmp(_missing_card(p, w, s), delta) >= 0:
             return s
-    raise ParameterError("internal error: no block holds enough missing points")
+    raise InternalError("internal error: no block holds enough missing points")
 
 
 # -- Word search in the relation monoid ----------------------------------------------
@@ -566,15 +566,15 @@ def block_evader(p: FinPartition, f: Chart, g: Chart, h: Chart) -> FactoredChart
         )
     t, t_word = _realize_word(p, tokens, g, h)
     if rho_of(p, t) != rel_full(p.n):
-        raise ParameterError("internal error: realised word misses the full relation")
+        raise InternalError("internal error: realised word misses the full relation")
 
     aligner = _image_aligner(p, spread.chart, t)
     result = compose(compose(spread.chart, aligner), t)
     word = spread.word + (("stab", aligner),) + t_word
     if not is_total(result):
-        raise ParameterError("internal error: evader output is not total")
+        raise InternalError("internal error: evader output is not total")
     if not im_set(result).is_subset(p.blocks[0]):
-        raise ParameterError("internal error: evader image escapes block 0")
+        raise InternalError("internal error: evader image escapes block 0")
     return FactoredChart(result, word)
 
 
@@ -602,7 +602,7 @@ def _realize_word(p: FinPartition, tokens, g: Chart, h: Chart):
         acc = compose(compose(acc, pad), nxt)
         acc_rel = rel_compose(acc_rel, rho_of(p, nxt))
         if rho_of(p, acc) != acc_rel:
-            raise ParameterError("internal error: padding lost the relation product")
+            raise InternalError("internal error: padding lost the relation product")
     return acc, tuple(word)
 
 
@@ -616,7 +616,7 @@ def _image_aligner(p: FinPartition, w: Chart, t: Chart) -> Chart:
         have = im_set(w).intersect(block)
         pool = funnel.intersect(block)
         if pool.card() != ALEPH0:
-            raise ParameterError(
+            raise InternalError(
                 "internal error: a block has no room to reach block 0"
             )
         if have.card() == ALEPH0:

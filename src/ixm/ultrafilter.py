@@ -25,7 +25,7 @@ from math import lcm
 
 from .chart import Chart, dom_set, im_set, image_of_set
 from .epset import EPSet, NATURALS, Prog, from_finite, from_prog
-from .errors import ParameterError, ParseError
+from .errors import InternalError, ParameterError, ParseError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -260,9 +260,9 @@ def _piece_witness(f: ResidueTower, piece) -> EPSet:
 def _checked(f, c: Chart, witness: EPSet, check: bool) -> EPSet:
     if check and witness.period <= 100_000:
         if not uf_contains(f, witness):
-            raise ParameterError("internal error: witness is not accepted")
+            raise InternalError("internal error: witness is not accepted")
         if uf_contains(f, image_of_set(c, witness)):
-            raise ParameterError("internal error: witness image is accepted")
+            raise InternalError("internal error: witness image is accepted")
     return witness
 
 

@@ -42,6 +42,7 @@ from ixm.epset import (
     NATURALS,
     Prog,
     from_finite,
+    progs_intersect,
     residue_class,
 )
 from ixm.errors import InjectivityError, ParameterError, ParseError
@@ -524,6 +525,14 @@ def chart_models(draw):
     return (list(pairs.items()), plain), (list(other_pairs.items()), other), model, window
 
 
+def _swapped(pairs, pieces):
+    return [(y, x) for x, y in pairs], [Piece(pc.dst, pc.src) for pc in pieces]
+
+
+def _ident(first: int, step: int) -> Piece:
+    return Piece(Prog(first, step), Prog(first, step))
+
+
 class TestCanonicalize:
     @settings(max_examples=80, deadline=None)
     @given(chart_models())
@@ -533,6 +542,31 @@ class TestCanonicalize:
         assert make_chart(other_pairs, other) == c
         assert all(apply_chart(c, x) == model(x) for x in range(window))
         assert make_chart(c.pairs, c.pieces) == c
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_models())
+    def test_inverse_presentations_have_fractional_slopes(self, drawn):
+        # Swapping each presentation gives pieces of slope 1/k, so the rule
+        # groups are keyed by fractional slopes and intercepts.
+        (pairs, plain), (other_pairs, other), model, window = drawn
+        inv = make_chart(*_swapped(pairs, plain))
+        assert make_chart(*_swapped(other_pairs, other)) == inv
+        assert invert(make_chart(pairs, plain)) == inv
+        # Every point below k*window has its preimage, if any, below window.
+        k = plain[0].dst.step // plain[0].src.step
+        back = {model(x): x for x in range(window) if model(x) is not None}
+        assert all(apply_chart(inv, y) == back.get(y) for y in range(k * window))
+
+    def test_slope_two_thirds_merges_and_demotes(self):
+        # x -> 2x/3 on the multiples of 3, given as two classes mod 6 with 3
+        # left out: the canonical piece has step 3 and starts at 6, and 0
+        # becomes a pair.
+        c = make_chart(
+            (), (Piece(Prog(0, 6), Prog(0, 4)), Piece(Prog(9, 6), Prog(6, 4)))
+        )
+        assert c.pieces == (Piece(Prog(6, 3), Prog(4, 2)),)
+        assert c.pairs == frozenset({(0, 0)})
+        assert invert(c).pieces == (Piece(Prog(4, 2), Prog(6, 3)),)
 
     def test_merged_group_demotes_its_early_points(self):
         c = make_chart(
@@ -546,12 +580,42 @@ class TestCanonicalize:
         # The sources are the evens and 1 mod 4, so the canonical period is 4.
         # Each step-6 piece meets both even classes mod 4, and 2 mod 4 starts
         # at 26 (10 and 22 are missing) while 0 mod 4 starts at 0.
-        def ident(first, step):
-            return Piece(Prog(first, step), Prog(first, step))
-
         c = make_chart(
             [(x, x) for x in (0, 1, 2, 4, 5, 16, 28)],
-            [ident(6, 6), ident(8, 6), ident(34, 6), ident(9, 4)],
+            [_ident(6, 6), _ident(8, 6), _ident(34, 6), _ident(9, 4)],
         )
-        assert c.pieces == (ident(0, 4), ident(1, 4), ident(26, 4))
+        assert c.pieces == (_ident(0, 4), _ident(1, 4), _ident(26, 4))
         assert c.pairs == frozenset((x, x) for x in (2, 6, 14, 18))
+
+    def test_least_period_of_the_classes(self):
+        # {0, 2, 4} mod 6 is invariant under a shift by 2, so it is one piece.
+        c = make_chart((), [_ident(4, 6), _ident(0, 6), _ident(2, 6)])
+        assert c.pieces == (_ident(0, 2),)
+        assert c.pairs == frozenset()
+        assert make_chart((), [_ident(r, 30) for r in range(30)]) == IDENTITY_CHART
+        # {0, 1, 3} mod 6 has no shorter period, so it stays three pieces.
+        c = make_chart((), [_ident(0, 6), _ident(1, 6), _ident(3, 6)])
+        assert c.pieces == (_ident(0, 6), _ident(1, 6), _ident(3, 6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(Prog, st.integers(0, 80), st.integers(1, 30)),
+        st.builds(Prog, st.integers(0, 80), st.integers(1, 30)),
+    )
+    def test_pieces_clash_exactly_where_their_progressions_meet(self, p, q):
+        # The destinations are even and odd, so only the sources can clash;
+        # swapped, only the destinations can.
+        pieces = [
+            Piece(p, Prog(2 * p.first, 2 * p.step)),
+            Piece(q, Prog(2 * q.first + 1, 2 * q.step)),
+        ]
+        meet = progs_intersect(p, q)
+        for where, given_pieces in (
+            ("sources", pieces),
+            ("destinations", _swapped((), pieces)[1]),
+        ):
+            if meet is None:
+                make_chart((), given_pieces)
+            else:
+                with pytest.raises(InjectivityError, match=f"^piece {where} overlap at {meet.first}$"):
+                    make_chart((), given_pieces)

@@ -1,4 +1,4 @@
-"""Command-line entry point: exit codes, the size guard, latency of chart
+"""Command-line entry point: exit codes, the size guards, latency of chart
 canonicalisation, and reuse of the parser within one process."""
 
 import os
@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import ixm
+import ixm.cli
 from ixm.cli import main
+from ixm.errors import InternalError, ParameterError
 
 SRC = str(Path(ixm.__file__).resolve().parent.parent)
 
@@ -39,6 +41,38 @@ def test_pieces_far_apart_canonicalise_quickly(capsys):
     assert main(["chart", "parse", text]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # One rule group whose merged piece starts at 10**7: 5*10**6 evens
+        # below it would become pairs.
+        "chart { piece (0 mod 2 from 0) -> (0 mod 2 from 0); "
+        "piece (1 mod 2 from 10000000) -> (1 mod 2 from 10000000); }",
+        # One rule group with 20016 classes mod lcm(20014, 20018), each of
+        # which would become a canonical piece.
+        "chart { piece (0 mod 20014 from 0) -> (0 mod 20014 from 0); "
+        "piece (1 mod 20018 from 0) -> (1 mod 20018 from 0); }",
+    ],
+)
+def test_oversized_canonical_form_is_refused_quickly(text, capsys):
+    start = time.perf_counter()
+    assert main(["chart", "parse", text]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    assert not issubclass(InternalError, ParameterError)
+
+    def broken(text):
+        raise InternalError("internal error: broken on purpose")
+
+    monkeypatch.setattr(ixm.cli, "parse_chart", broken)
+    assert main(["chart", "stats", "chart { }"]) == 4
+    out, err = capsys.readouterr()
+    assert not out and err == "error: internal error: broken on purpose\n"
 
 
 @pytest.mark.parametrize(
