@@ -557,7 +557,7 @@ def sandwich_factorize(h: Chart, f: Chart, g: Chart, y: EPSet) -> Chart:
     p_prime = chart_union(p, filler, closer)
     p_full = chart_union(p_prime, identity_on(NATURALS.difference(y)))
     if compose(compose(f, p_full), g) != h:
-        raise ParameterError("factorisation postcondition failed")
+        raise InternalError("internal error: factorisation postcondition failed")
     return p_full
 
 

@@ -1,21 +1,20 @@
-"""Brute-force models over a finite ground set {0..n-1}.
+"""Finite models over a ground set {0..n-1}.
 
 Partial injections are tuples with None marking undefined points; total
 maps are plain tuples.  Everything here is small enough to enumerate, so
 this module doubles as the oracle layer for the symbolic side: claimed
 identities about ranks, ideals, maximal subsemigroups and transversal
-products are checked against exhaustive computation.
+products are checked against exhaustive computation.  The complete list
+of maximal subsemigroups comes from a J-class reduction, one rank at a time.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import ParameterError, ParseError, ResourceGuardError
+from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 FChart = tuple  # entries: int | None, injective on defined points
 FTrans = tuple  # entries: int, total
@@ -331,11 +330,16 @@ def predicted_finite_maximals(n: int) -> list[LabelledSet]:
     return out
 
 
-# -- Exhaustive / budgeted search for all maximal subsemigroups -----------------
+# -- All maximal subsemigroups, by J-class reduction ----------------------------
 
 
 @dataclass
 class SearchResult:
+    """The maximal subsemigroups of the partial injections on n points and
+    the maximal elements among their inverse parts, both sorted by
+    ``_set_key``.  ``complete`` and ``note`` stay for the pinned summaries;
+    the reduction is exact, so they are always True and empty."""
+
     n: int
     complete: bool
     maximal: list[frozenset] = field(default_factory=list)
@@ -343,179 +347,51 @@ class SearchResult:
     note: str = ""
 
 
-def default_budget_ms() -> int:
-    raw = os.environ.get("IXM_BUDGET_MS", "")
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw)
-    return 120_000
+def completeness_search(n: int) -> SearchResult:
+    """Every maximal subsemigroup of the partial injections on n points.
 
+    A maximal subsemigroup M of a finite semigroup misses elements of
+    exactly one J-class J (Graham, Graham and Rhodes, 1968), so M contains
+    everything outside J and hence ``base``, the subsemigroup that
+    everything outside J generates.  Here the J-classes are the ranks.  If
+    J lies inside ``base``, no M misses J.  For the group of units (rank n)
+    everything else is an ideal, so the M are that ideal together with a
+    maximal subgroup of the permutations.  For a lower rank, every proper
+    subsemigroup containing ``base`` is ``base`` itself once ``base`` is
+    maximal, which ``is_maximal`` checks.
 
-def completeness_search(n: int, budget_ms: int | None = None) -> SearchResult:
-    if n == 2:
-        return _complete_by_powerset(2)
-    if n == 3:
-        return _complete_by_minimal_complements(3, budget_ms or default_budget_ms())
-    raise ResourceGuardError("completeness search supports n in {2, 3}")
-
-
-def _complete_by_powerset(n: int) -> SearchResult:
-    universe = list(all_fcharts(n))
-    size = len(universe)
-    closed_masks = []
-    for mask in range(1 << size):
-        subset = [universe[i] for i in range(size) if mask >> i & 1]
-        sset = set(subset)
-        if all(fchart_compose(a, b) in sset for a in subset for b in subset):
-            closed_masks.append(mask)
-    full = (1 << size) - 1
-    proper = [m for m in closed_masks if m != full]
-    maximal = [
-        m for m in proper if not any(m != o and m & o == m for o in proper)
-    ]
-    sets = [
-        frozenset(universe[i] for i in range(size) if m >> i & 1) for m in maximal
-    ]
-    inverse_closed = [s for s in _maximal_inverse_from_closed(universe, proper)]
-    return SearchResult(n, True, sorted(sets, key=_set_key), inverse_closed)
-
-
-def _maximal_inverse_from_closed(universe, proper_masks) -> list[frozenset]:
-    size = len(universe)
-    inv_masks = []
-    for m in proper_masks:
-        subset = [universe[i] for i in range(size) if m >> i & 1]
-        if all(fchart_invert(u) in set(subset) for u in subset):
-            inv_masks.append(m)
-    maximal = [
-        m for m in inv_masks if not any(m != o and m & o == m for o in inv_masks)
-    ]
-    return sorted(
-        (
-            frozenset(universe[i] for i in range(size) if m >> i & 1)
-            for m in maximal
-        ),
-        key=_set_key,
+    n runs from 2 to 4: ``maximal_subgroups`` is complete only for n <= 4.
+    """
+    if n < 2:
+        raise ParameterError("completeness search needs n >= 2")
+    if n > 4:
+        raise ResourceGuardError("completeness search supports 2 <= n <= 4")
+    universe = frozenset(all_fcharts(n))
+    maximal = []
+    for k in range(n, -1, -1):
+        rest = frozenset(u for u in universe if fchart_rank(u) != k)
+        base = semigroup_closure(rest, fchart_compose)
+        if base == universe:
+            continue
+        if k == n:
+            maximal.extend(rest | h for h in maximal_subgroups(n))
+        elif is_maximal(base, n):
+            maximal.append(base)
+        else:
+            raise InternalError(
+                f"internal error: rank {k} needs a Rees-matrix reduction"
+            )
+    # Maximal inverse-closed subsemigroups are the maximal elements among
+    # the intersections of each maximal subsemigroup with its inverse.
+    parts = {m & frozenset(map(fchart_invert, m)) for m in maximal}
+    inverse = [v for v in parts if not any(v < o for o in parts)]
+    return SearchResult(
+        n, True, sorted(maximal, key=_set_key), sorted(inverse, key=_set_key)
     )
 
 
 def _set_key(s: frozenset):
     return (-len(s), sorted(map(_fchart_key, s)))
-
-
-class _ComplementSearch:
-    """Exhaustive enumeration of maximal proper closed subsets.
-
-    A subset M is closed exactly when its complement C satisfies: every
-    factorisation of an element of C uses a factor from C.  Maximal closed
-    sets correspond to minimal such complements, which a small DFS finds by
-    branching only on uncovered factorisations.  Seeds are processed in
-    order, each forbidding the earlier ones, so every minimal complement is
-    reached exactly from its least element."""
-
-    def __init__(self, n: int, deadline: float):
-        self.universe = list(all_fcharts(n))
-        self.size = len(self.universe)
-        index = {u: i for i, u in enumerate(self.universe)}
-        self.inv_of = [index[fchart_invert(u)] for u in self.universe]
-        self.factors: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        for a, ua in enumerate(self.universe):
-            for b, ub in enumerate(self.universe):
-                self.factors[index[fchart_compose(ua, ub)]].append((a, b))
-        self.deadline = deadline
-        self.timed_out = False
-        self.found: list[int] = []
-
-    def run(self) -> list[int]:
-        forbid = 0
-        for z in range(self.size):
-            self._dfs(1 << z, forbid, set())
-            forbid |= 1 << z
-            if self.timed_out:
-                break
-        return [
-            m
-            for m in self.found
-            if not any(o != m and o & ~m == 0 for o in self.found)
-        ]
-
-    def _dfs(self, cbits: int, forbid: int, visited: set) -> None:
-        if self.timed_out or time.monotonic() > self.deadline:
-            self.timed_out = True
-            return
-        if cbits in visited:
-            return
-        visited.add(cbits)
-        for m in self.found:
-            if m & ~cbits == 0:
-                return
-        branch = None
-        for c in _bit_indices(cbits):
-            for a, b in self.factors[c]:
-                if cbits >> a & 1 or cbits >> b & 1:
-                    continue
-                a_open = not forbid >> a & 1
-                b_open = not forbid >> b & 1
-                if a_open and b_open and a != b:
-                    if branch is None:
-                        branch = (a, b)
-                    continue
-                if a_open:
-                    self._dfs(cbits | 1 << a, forbid, visited)
-                elif b_open:
-                    self._dfs(cbits | 1 << b, forbid, visited)
-                return
-        if branch is None:
-            self.found.append(cbits)
-            return
-        a, b = branch
-        self._dfs(cbits | 1 << a, forbid, visited)
-        self._dfs(cbits | 1 << b, forbid, visited)
-
-
-def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
-def _complete_by_minimal_complements(n: int, budget_ms: int) -> SearchResult:
-    deadline = time.monotonic() + budget_ms / 1000.0
-    search = _ComplementSearch(n, deadline)
-    minimal = search.run()
-    universe = search.universe
-    full = (1 << search.size) - 1
-    sets = sorted(
-        (
-            frozenset(universe[i] for i in _bit_indices(full ^ m))
-            for m in minimal
-            if m != full
-        ),
-        key=_set_key,
-    )
-    # Maximal inverse-closed subsemigroups are the maximal elements among
-    # the intersections of each maximal subsemigroup with its inverse.
-    inv_candidates = set()
-    for m in minimal:
-        cinv = 0
-        for i in _bit_indices(m):
-            cinv |= 1 << search.inv_of[i]
-        inv_candidates.add(full & ~(m | cinv))
-    inv_masks = [
-        v
-        for v in inv_candidates
-        if not any(o != v and v & ~o == 0 for o in inv_candidates)
-    ]
-    inverse = sorted(
-        (frozenset(universe[i] for i in _bit_indices(v)) for v in inv_masks),
-        key=_set_key,
-    )
-    note = "budget exhausted; results may be incomplete" if search.timed_out else ""
-    return SearchResult(n, not search.timed_out, sets, inverse, note)
-
-
 
 
 # -- Text format -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ixm.chart as chart_module
 from ixm.cardinal import ALEPH0, ZERO, fin
 from ixm.chart import (
     EMPTY_CHART,
@@ -45,7 +46,7 @@ from ixm.epset import (
     progs_intersect,
     residue_class,
 )
-from ixm.errors import InjectivityError, ParameterError, ParseError
+from ixm.errors import InjectivityError, InternalError, ParameterError, ParseError
 from ixm.sampling import make_rng, random_chart, random_epset, random_mixed
 
 EVENS = residue_class(0, 2)
@@ -405,6 +406,14 @@ class TestSandwich:
             sandwich_factorize(
                 IDENTITY_CHART, self.F, restrict(self.G, residue_class(2, 8)), EVENS
             )
+
+    def test_failed_postcondition_is_an_internal_error(self, monkeypatch):
+        # A broken union drops the middle factor's moves on the carrier, so
+        # valid inputs yield a wrong factor: a fault of ixm, not of its input.
+        monkeypatch.setattr(chart_module, "chart_union", lambda *charts: charts[-1])
+        with pytest.raises(InternalError) as caught:
+            sandwich_factorize(IDENTITY_CHART, self.F, self.G, EVENS)
+        assert not isinstance(caught.value, ParameterError)
 
 
 class TestText:

@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, the size guards, latency of chart
 canonicalisation, and reuse of the parser within one process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -87,6 +88,10 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["chart", "stats", "chart { pair 1 -> ; }"], 2),
         (["class", "member", "S[mu=1]", "chart { }"], 2),
         (["chart", "stats", "chart { pair 1000000000 -> 0; }"], 3),
+        (["finite", "completeness", "--n", "0"], 2),
+        (["finite", "completeness", "--n", "1"], 2),
+        (["finite", "completeness", "--n", "5"], 3),
+        (["finite", "completeness", "--n", "4", "--format", "records"], 0),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -94,6 +99,9 @@ def test_exit_codes(argv, code, capsys):
     out, err = capsys.readouterr()
     if code == 1:
         assert out.startswith("refused: ")
+    if argv[:2] == ["finite", "completeness"] and code == 0:
+        record = json.loads(out)
+        assert record["complete"] and record["matches_predictions"]
     if code >= 2:
         assert err and not out
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ixm.errors import ParameterError, ResourceGuardError
+from ixm import finite_model
+from ixm.errors import InternalError, ParameterError, ResourceGuardError
 from ixm.finite_model import (
+    _set_key,
     all_fcharts,
     completeness_search,
     fchart_closure,
@@ -358,14 +360,60 @@ class TestCompletenessSearch:
         predicted = {f.elements for f in predicted_finite_maximals(3)}
         assert {frozenset(m) for m in res.maximal} == predicted
 
-    def test_budget_exhaustion_is_flagged(self):
-        res = completeness_search(3, budget_ms=1)
-        assert not res.complete
-        assert "budget" in res.note
+    def test_search_n4(self):
+        res = completeness_search(4)
+        assert res.complete and not res.note
+        predicted = {f.elements for f in predicted_finite_maximals(4)}
+        assert len(res.maximal) == 9
+        assert set(res.maximal) == predicted
+
+    def test_reduction_matches_powerset_oracle_n2(self):
+        res = completeness_search(2)
+        maximal, maximal_inverse = _complete_by_powerset(2)
+        assert res.maximal == maximal
+        assert res.maximal_inverse == maximal_inverse
+
+    def test_unproven_candidate_is_an_internal_error(self, monkeypatch):
+        # Below the group of units the closure of the other ranks is the
+        # only candidate; if it were not maximal, the reduction would be
+        # incomplete, and that is a fault of ixm.
+        monkeypatch.setattr(finite_model, "is_maximal", lambda m, n: False)
+        with pytest.raises(InternalError):
+            completeness_search(3)
 
     def test_guard(self):
         with pytest.raises(ResourceGuardError):
-            completeness_search(4)
+            completeness_search(5)
+        for n in (0, 1):
+            with pytest.raises(ParameterError):
+                completeness_search(n)
+
+
+def _complete_by_powerset(n):
+    """Reference oracle: every subset of the monoid, kept when closed.
+
+    Returns the maximal proper closed subsets and the maximal proper closed
+    inverse-closed subsets, each sorted as ``completeness_search`` sorts
+    them.  There are 2**|I_n| subsets, so this is for n = 2 only."""
+    universe = list(all_fcharts(n))
+    size = len(universe)
+
+    def subset(mask):
+        return frozenset(universe[i] for i in range(size) if mask >> i & 1)
+
+    def maximal(masks):
+        return sorted(
+            (subset(m) for m in masks if not any(m != o and m & o == m for o in masks)),
+            key=_set_key,
+        )
+
+    proper = []
+    for mask in range((1 << size) - 1):
+        s = subset(mask)
+        if all(fchart_compose(a, b) in s for a in s for b in s):
+            proper.append(mask)
+    inverse = [m for m in proper if is_inverse_closed(subset(m))]
+    return maximal(proper), maximal(inverse)
 
 
 class TestInverseIntersection:

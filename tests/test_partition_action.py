@@ -1,0 +1,114 @@
+"""Finite partitions of the naturals, block relations and the block relation
+that a chart induces."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ixm.chart import IDENTITY_CHART, Piece, make_chart
+from ixm.epset import Prog, residue_class
+from ixm.errors import ParseError
+from ixm.partition_action import (
+    _rho_mod,
+    make_partition,
+    mod_partition,
+    parse_partition,
+    parse_rel,
+    rel_from_pairs,
+    rel_identity,
+    render_partition,
+    render_rel,
+    rho_of,
+)
+from ixm.sampling import random_mixed, random_partition
+
+DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
+
+
+def _residue_blocks(n):
+    """The residue classes mod n, as a partition without the modular path."""
+    p = make_partition(residue_class(i, n) for i in range(n))
+    assert p.modulus == n
+    return replace(p, modulus=None)
+
+
+def relations():
+    return st.integers(1, 5).flatmap(
+        lambda n: st.builds(
+            rel_from_pairs,
+            st.just(n),
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        )
+    )
+
+
+class TestRho:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.randoms(use_true_random=False))
+    def test_modular_path_matches_block_path(self, n, rng):
+        f = random_mixed(rng)
+        assert _rho_mod(n, f) == rho_of(_residue_blocks(n), f)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_identity_fixes_every_block(self, n):
+        assert rho_of(mod_partition(n), IDENTITY_CHART) == rel_identity(n)
+        assert rho_of(_residue_blocks(n), IDENTITY_CHART) == rel_identity(n)
+
+    def test_doubling_sends_both_classes_to_the_evens(self):
+        assert rho_of(mod_partition(2), DOUBLE) == rel_from_pairs(2, [(0, 0), (1, 0)])
+
+    def test_finitely_many_points_do_not_count(self):
+        # Only the piece on the evens is infinite; the pair 1 -> 0 is not.
+        f = make_chart([(1, 0)], (Piece(Prog(0, 2), Prog(1, 2)),))
+        assert rho_of(mod_partition(2), f) == rel_from_pairs(2, [(0, 1)])
+
+
+class TestText:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_modular_partition_round_trip(self, n):
+        text = f"part mod {n}"
+        assert render_partition(parse_partition(text)) == text
+        assert parse_partition(text) == mod_partition(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_partition_round_trip(self, rng):
+        p = random_partition(rng)
+        assert parse_partition(render_partition(p)) == p
+
+    def test_block_partition_round_trip(self):
+        # Residue classes out of order are not the modular partition.
+        p = make_partition([residue_class(1, 2), residue_class(0, 2)])
+        assert p.modulus is None
+        text = render_partition(p)
+        assert text.startswith("part blocks ")
+        assert parse_partition(text) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(relations())
+    def test_relation_round_trip(self, r):
+        text = render_rel(r)
+        assert parse_rel(text) == r
+        assert render_rel(parse_rel(text)) == text
+
+    def test_relation_text(self):
+        assert render_rel(rel_from_pairs(3, [(2, 0), (0, 1)])) == "rel n=3 {(0,1),(2,0)}"
+        assert parse_rel("rel n=2 {}") == rel_from_pairs(2, [])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["mod 2", "part mod 1", "part mod x", "part blocks ep N=0 m=2 R={0} L={}", "part twist"],
+    )
+    def test_bad_partition_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_partition(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n=2 {}", "rel {}", "rel n=0 {}", "rel n=2 (0,1)", "rel n=2 {(0,2)}", "rel n=2 {(0,x)}"],
+    )
+    def test_bad_relation_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_rel(text)
