@@ -38,6 +38,7 @@ from .epset import (
     prog_from_parts,
     render_prog,
     union_all,
+    unions_by_step,
 )
 from .errors import InjectivityError, InternalError, ParameterError, ResourceGuardError
 
@@ -87,8 +88,8 @@ def _least_period(classes: list[int], span: int) -> int:
 
     The residues are read as the cyclic word of gaps between neighbours, and
     the shift is the first recurrence of that word inside itself doubled (the
-    rotation trick of `epset._canonical`), at a cost linear in the classes
-    whatever the span.  Every gap starts with a comma, and any run of as many
+    classic rotation trick), at a cost linear in the classes whatever the
+    span.  Every gap starts with a comma, and any run of as many
     consecutive gaps as there are classes sums to span, so a recurrence is a
     whole rotation of the gaps.
     """
@@ -326,14 +327,19 @@ def restrict(f: Chart, s: EPSet) -> Chart:
 
 @lru_cache(maxsize=65536)
 def dom_set(c: Chart) -> EPSet:
-    parts = [from_prog(pc.src) for pc in c.pieces]
+    """The domain: the piece sources grouped by step, each step's group
+    built as one set (`unions_by_step`), then merged with the pair points
+    by `union_all`.  A chart of k pieces of one step thus holds one
+    residue mask as wide as the step, not k of them."""
+    parts = unions_by_step(pc.src for pc in c.pieces)
     parts.append(from_finite(x for x, _ in c.pairs))
     return union_all(parts)
 
 
 @lru_cache(maxsize=65536)
 def im_set(c: Chart) -> EPSet:
-    parts = [from_prog(pc.dst) for pc in c.pieces]
+    """The image, built as `dom_set` builds the domain."""
+    parts = unions_by_step(pc.dst for pc in c.pieces)
     parts.append(from_finite(y for _, y in c.pairs))
     return union_all(parts)
 

@@ -6,7 +6,12 @@ L <= {0..N-1}.  R and L are stored as int bitmasks (`Bits`), and every
 Boolean operation is one bitwise operation on both sides lifted to the
 joint period and threshold (`_combine`).  Canonical form uses the minimal
 period of the tail and then the minimal threshold for that period, so
-structural equality is extensional equality.  The class is closed under
+structural equality is extensional equality.  The minimal period p of an
+m-bit residue word divides m, and m/p divides the number of residues, so
+only the primes q of gcd(m, #residues) can shrink it: q does, as often as
+it divides what is left, while the word equals itself rotated by m/q.  A
+word whose residue count is coprime to m (a single progression, its
+complement) is canonical as it stands.  The class is closed under
 the Boolean operations, which is what makes the symbolic side of the
 workbench decidable.  Masks are capped at MAX_BITS bits: a threshold or
 (joint) period beyond it raises ResourceGuardError before anything is
@@ -246,15 +251,41 @@ def make_epset(threshold: int, period: int, residues, low) -> EPSet:
 
 
 def _canonical(n: int, m: int, res: int, low: int) -> EPSet:
-    # Minimal period: the least rotation that maps the m-bit residue word to
-    # itself, found as the word's first recurrence inside itself doubled.
-    word = format(res, f"0{m}b")
-    m = (word + word).find(word, 1)
-    res &= _full(m)
+    # Minimal period.  It divides m, and m over it divides the residue
+    # count, so only the primes of g = gcd(m, count) can divide m away.  A
+    # prime q does, as long as it divides m, while rotating the m-bit word
+    # by d = m/q fixes it; as d divides m, that holds iff the word shifted
+    # down by d equals its low m - d bits.  The empty and the full word
+    # have period 1 (and g = m there, which would cost a factorisation).
+    count = res.bit_count()
+    if count == 0 or count == m:
+        m = 1
+        res &= 1
+    else:
+        for q in _primes(gcd(m, count)):
+            while m % q == 0 and res >> (d := m // q) == res & _full(m - d):
+                m = d
+                res &= _full(m)
     # Minimal threshold: one past the last point where the low part
     # disagrees with the tail pattern.
     n = (low ^ _repeat(res, m, n)).bit_length()
     return EPSet(n, m, Bits(res), Bits(low & _full(n)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _primes(g: int) -> tuple[int, ...]:
+    """The distinct prime factors of g, by trial division."""
+    out = []
+    q = 2
+    while q * q <= g:
+        if g % q == 0:
+            out.append(q)
+            while g % q == 0:
+                g //= q
+        q += 1
+    if g > 1:
+        out.append(g)
+    return tuple(out)
 
 
 def _combine(sets, op) -> EPSet:
@@ -285,11 +316,42 @@ def from_finite(xs) -> EPSet:
 
 
 def from_prog(p: Prog) -> EPSet:
-    return make_epset(p.first, p.step, (p.first % p.step,), ())
+    # A count of one is coprime to any period, so `step` is minimal, and the
+    # last non-member of the class lies one step before `first`.
+    _guard(p.first, p.step)
+    return EPSet(max(p.first - p.step + 1, 0), p.step, Bits(1 << (p.first % p.step)), Bits(0))
 
 
 def residue_class(r: int, m: int) -> EPSet:
-    return make_epset(0, m, (r % m,), ())
+    if m <= 0:
+        raise ParameterError("period must be positive")
+    return from_prog(Prog(r % m, m))
+
+
+def unions_by_step(progs) -> list[EPSet]:
+    """The union of each step's progressions, one EPSet per distinct step,
+    in order of first appearance.
+
+    Each step's set is built in one pass: its residue mask marks every
+    start's residue, and its low part holds each progression's points below
+    the group's threshold (the largest start), so a family of k
+    progressions of step m holds one m-bit mask, not k of them.  A
+    progression with one point down there adds just its start; a longer
+    one ORs in its repeated pattern.
+    """
+    groups: dict[int, list[int]] = {}
+    for p in progs:
+        groups.setdefault(p.step, []).append(p.first)
+    out = []
+    for m, firsts in groups.items():
+        n = max(firsts)
+        _guard(n, m)
+        low = _mask((f for f in firsts if n - m <= f < n), n)
+        for f in firsts:
+            if f < n - m:
+                low |= _repeat(1, m, n - f) << f
+        out.append(_canonical(n, m, _mask((f % m for f in firsts), m), low))
+    return out
 
 
 def union_all(sets) -> EPSet:

@@ -150,26 +150,31 @@ def semigroup_closure(gens, mul, base=frozenset(), stop: int | None = None) -> f
     ``base`` must already be closed under ``mul``: products of two base
     elements are never formed.  Every new element is multiplied on both
     sides by each generator, the base elements included, which reaches
-    every word in them.  With ``stop`` set, the search ends as soon as at
-    least that many elements are known, so the result may then fall short
-    of the closure; to ask "is this everything?" pass the size of everything.
+    every word in them.  In the first round the new elements are the
+    generators outside ``base``, so a product of two of them is formed
+    once, as a*g: g*a is formed when g is the new element.  With ``stop``
+    set, the search ends as soon as at least that many elements are known,
+    so the result may then fall short of the closure; to ask "is this
+    everything?" pass the size of everything.
     """
     limit = float("inf") if stop is None else stop
     elements = set(base)
     frontier = [g for g in dict.fromkeys(gens) if g not in elements]
     elements.update(frontier)
     multipliers = list(elements)
+    one_sided = set(frontier)
     while frontier and len(elements) < limit:
         fresh = []
         for a in frontier:
             for g in multipliers:
-                for c in (mul(a, g), mul(g, a)):
+                for c in (mul(a, g),) if g in one_sided else (mul(a, g), mul(g, a)):
                     if c not in elements:
                         elements.add(c)
                         fresh.append(c)
                         if len(elements) >= limit:
                             return frozenset(elements)
         frontier = fresh
+        one_sided = ()
     return frozenset(elements)
 
 

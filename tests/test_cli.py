@@ -13,6 +13,7 @@ import pytest
 import ixm
 import ixm.cli
 from ixm.cli import main
+from ixm.epset import Prog, from_prog, render_epset
 from ixm.errors import InternalError, ParameterError
 
 SRC = str(Path(ixm.__file__).resolve().parent.parent)
@@ -42,6 +43,45 @@ def test_pieces_far_apart_canonicalise_quickly(capsys):
     assert main(["chart", "parse", text]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == text + "\n"
+
+
+def _two_class_chart(s: int, t: int) -> str:
+    # Canonicalises to lcm(s, t) / s + lcm(s, t) / t - 2 pieces of one step.
+    return (
+        f"chart {{ piece (0 mod {s} from 0) -> (0 mod {s} from 0); "
+        f"piece (1 mod {t} from 0) -> (1 mod {t} from 0); }}"
+    )
+
+
+def test_many_piece_chart_stats_are_fast(capsys):
+    # 1,024 pieces of step 524,286: the domain and image are built one
+    # mask per step, not one per piece.
+    start = time.perf_counter()
+    assert main(["chart", "stats", _two_class_chart(1022, 1026)]) == 0
+    assert time.perf_counter() - start < 3.0
+    dom = from_prog(Prog(0, 1022)).union(from_prog(Prog(1, 1026)))
+    assert f"dom={render_epset(dom)}\n" in capsys.readouterr().out
+
+
+def test_widest_many_piece_chart_stats_stay_small():
+    # 4,096 pieces of step 8,388,606, just inside the group and mask caps.
+    code = (
+        "import resource, sys\n"
+        "from ixm.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["chart", "stats", _two_class_chart(4094, 4098)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert time.perf_counter() - start < 30.0
+    exit_code, max_rss_kb = map(int, done.stderr.split())
+    assert exit_code == 0
+    assert max_rss_kb < 200 * 1024
+    assert "dom=ep N=0 m=8388606 R={0,1,4094,4099," in done.stdout
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from ixm.epset import (
     render_prog,
     residue_class,
     union_all,
+    unions_by_step,
 )
 from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.sampling import make_rng, random_epset
@@ -387,6 +388,74 @@ class TestProperties:
     def test_text_round_trip(self, desc):
         s = make_epset(*desc)
         assert parse_epset(render_epset(s)) == s
+
+
+def least_rotation(word: int, m: int) -> int:
+    """The least p dividing m whose rotation maps the m-bit word to itself."""
+    text = format(word, f"0{m}b")
+    return next(p for p in range(1, m + 1) if m % p == 0 and text[p:] + text[:p] == text)
+
+
+@st.composite
+def repeated_words(draw):
+    """An m-bit word repeating a word of m / q**k bits, for a prime q of m:
+    empty, full, dense or sparse, so that its residue count is coprime to m
+    as often as it shares factors with it."""
+    m = draw(st.sampled_from([720, 840, 2310, 4096]))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11) if m % q == 0]))
+    d = m
+    for _ in range(draw(st.integers(0, 12))):
+        if d % q == 0:
+            d //= q
+    word = draw(
+        st.one_of(
+            st.just(0),
+            st.just((1 << d) - 1),
+            st.integers(0, (1 << d) - 1),
+            st.sets(st.integers(0, d - 1), max_size=6).map(lambda rs: sum(1 << r for r in rs)),
+        )
+    )
+    full = 0
+    for i in range(0, m, d):
+        full |= word << i
+    return m, full
+
+
+# Starts reach past the steps, so a progression may have one point or many
+# below the threshold of its step's group.
+PROGS = st.builds(Prog, st.integers(0, 400), st.sampled_from([1, 2, 3, 4, 6, 12, 35]))
+
+
+class TestPeriodSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_words())
+    def test_period_is_the_least_rotation(self, mw):
+        m, word = mw
+        s = make_epset(0, m, [r for r in range(m) if word >> r & 1], ())
+        p = least_rotation(word, m)
+        assert s.period == p
+        assert s.residues == word & ((1 << p) - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3000), st.integers(1, 3000))
+    def test_single_residue_sets_are_built_canonical(self, first, step):
+        assert from_prog(Prog(first, step)) == make_epset(first, step, (first % step,), ())
+        assert residue_class(first, step) == make_epset(0, step, (first,), ())
+
+    def test_single_residue_guard(self):
+        with pytest.raises(ResourceGuardError):
+            from_prog(Prog(MAX_BITS + 1, 2))
+        with pytest.raises(ParameterError):
+            residue_class(0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(PROGS, max_size=8))
+    def test_unions_by_step(self, progs):
+        groups = unions_by_step(progs)
+        assert len(groups) == len({p.step for p in progs})
+        for s, step in zip(groups, dict.fromkeys(p.step for p in progs)):
+            assert s == union_all([from_prog(p) for p in progs if p.step == step])
+        assert union_all(groups) == union_all([from_prog(p) for p in progs])
 
 
 class TestBits:

@@ -170,6 +170,25 @@ class TestClosure:
         part = semigroup_closure([x], fchart_compose, base=base, stop=len(base) + 1)
         assert part == base | {x}
 
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets(), st.data())
+    def test_each_product_is_formed_once(self, gens, data):
+        # In the first round two generators multiply on one side only; from
+        # then on every new element meets every generator on both sides.
+        base = fchart_closure(data.draw(st.lists(st.sampled_from(gens), max_size=2)))
+        calls = 0
+
+        def mul(a, b):
+            nonlocal calls
+            calls += 1
+            return fchart_compose(a, b)
+
+        got = semigroup_closure(gens, mul, base=base)
+        assert got == naive_closure(set(gens) | base)
+        k = len(set(gens) - base)
+        b = len(base)
+        assert calls == k * (k + 2 * b) + 2 * (k + b) * (len(got) - k - b)
+
     def test_is_closed(self):
         assert is_closed(sym_group(3))
         assert not is_closed([(1, 0, 2), (1, 2, 0)])
