@@ -32,6 +32,7 @@ from .epset import (
     NATURALS,
     Prog,
     ParseError,
+    affine_image,
     from_finite,
     from_prog,
     progs_intersect,
@@ -219,7 +220,12 @@ def make_chart(pairs, pieces) -> Chart:
     _validate(frozenset(pair_map.items()), sorted(given))
     pair_map, canonical = _canonicalize(pair_map, given)
     pair_set = frozenset(pair_map.items())
-    _validate(pair_set, canonical)
+    # The input is injective by now, so a clash here is a fault of
+    # `_canonicalize`, not of the caller.
+    try:
+        _validate(pair_set, canonical)
+    except InjectivityError as exc:
+        raise InternalError(f"internal error: canonical form is not injective: {exc}") from exc
     return Chart(
         pair_set,
         tuple(Piece(Prog(sf, ss), Prog(df, ds)) for sf, ss, df, ds in canonical),
@@ -417,24 +423,21 @@ def is_partial_identity(c: Chart) -> bool:
 
 
 def image_of_set(f: Chart, s: EPSet) -> EPSet:
-    """The set {(x)f : x in s and x in dom f}."""
-    finite_pts = [y for x, y in f.pairs if x in s]
-    parts = [from_finite(finite_pts)]
-    for pc in f.pieces:
-        hit = s.intersect(from_prog(pc.src))
-        if hit.is_empty():
-            continue
-        progs, low = hit.decompose()
-        parts.append(from_finite(pc.apply(x) for x in low))
-        for pr in progs:
-            i0 = pc.src.index(pr.first)
-            k = pr.step // pc.src.step
-            parts.append(from_prog(Prog(pc.dst.value(i0), pc.dst.step * k)))
-    return union_all(parts)
+    """The set {(x)f : x in s and x in dom f}: the pair images, and one
+    `affine_image` per piece, merged by `union_all`."""
+    return _image(s, f.pairs, ((pc.src, pc.dst) for pc in f.pieces))
 
 
 def preimage_of_set(f: Chart, s: EPSet) -> EPSet:
-    return image_of_set(invert(f), s)
+    """The set {x : (x)f in s}, built as `image_of_set` builds the image,
+    with every pair and piece read backwards; no inverse chart is made."""
+    return _image(s, ((y, x) for x, y in f.pairs), ((pc.dst, pc.src) for pc in f.pieces))
+
+
+def _image(s: EPSet, pairs, pieces) -> EPSet:
+    parts = [from_finite(y for x, y in pairs if x in s)]
+    parts.extend(affine_image(s, src, dst) for src, dst in pieces)
+    return union_all(parts)
 
 
 # -- Constructions -----------------------------------------------------------

@@ -16,6 +16,17 @@ the Boolean operations, which is what makes the symbolic side of the
 workbench decidable.  Masks are capped at MAX_BITS bits: a threshold or
 (joint) period beyond it raises ResourceGuardError before anything is
 allocated.
+
+Images of sets under charts are built piece by piece by `affine_image`,
+which maps s = (N, m, R, L) through src.value(i) -> dst.value(i) directly.
+From the first source index i0 that the tail of s decides, with source
+point x0 and g = gcd(m, ss), the source indices that hit s repeat mod
+k = m/g: a residue r of R with r = x0 (mod g) is hit at the indices
+j = (r - x0)/g * (ss/g)^-1 (mod k), and no other residue is hit.  Those
+indices, spread by the destination step, are the image's tail.  Its
+Python loops visit set bits only (of R, of the index word and of the low
+part), never the indices below the threshold or the positions of the
+word.
 """
 
 from __future__ import annotations
@@ -251,25 +262,29 @@ def make_epset(threshold: int, period: int, residues, low) -> EPSet:
 
 
 def _canonical(n: int, m: int, res: int, low: int) -> EPSet:
-    # Minimal period.  It divides m, and m over it divides the residue
-    # count, so only the primes of g = gcd(m, count) can divide m away.  A
-    # prime q does, as long as it divides m, while rotating the m-bit word
-    # by d = m/q fixes it; as d divides m, that holds iff the word shifted
-    # down by d equals its low m - d bits.  The empty and the full word
-    # have period 1 (and g = m there, which would cost a factorisation).
-    count = res.bit_count()
-    if count == 0 or count == m:
-        m = 1
-        res &= 1
-    else:
-        for q in _primes(gcd(m, count)):
-            while m % q == 0 and res >> (d := m // q) == res & _full(m - d):
-                m = d
-                res &= _full(m)
+    m, res = _least_period(m, res)
     # Minimal threshold: one past the last point where the low part
     # disagrees with the tail pattern.
     n = (low ^ _repeat(res, m, n)).bit_length()
     return EPSet(n, m, Bits(res), Bits(low & _full(n)))
+
+
+def _least_period(m: int, res: int) -> tuple[int, int]:
+    """The least period of the cyclic m-bit word `res`, and the word cut to it."""
+    # It divides m, and m over it divides the residue count, so only the
+    # primes of g = gcd(m, count) can divide m away.  A prime q does, as
+    # long as it divides m, while rotating the word by d = m/q fixes it; as
+    # d divides m, that holds iff the word shifted down by d equals its low
+    # m - d bits.  The empty and the full word have period 1 (and g = m
+    # there, which would cost a factorisation).
+    count = res.bit_count()
+    if count == 0 or count == m:
+        return 1, res & 1
+    for q in _primes(gcd(m, count)):
+        while m % q == 0 and res >> (d := m // q) == res & _full(m - d):
+            m = d
+            res &= _full(m)
+    return m, res
 
 
 @functools.lru_cache(maxsize=4096)
@@ -352,6 +367,68 @@ def unions_by_step(progs) -> list[EPSet]:
                 low |= _repeat(1, m, n - f) << f
         out.append(_canonical(n, m, _mask((f % m for f in firsts), m), low))
     return out
+
+
+def affine_image(s: EPSet, src: Prog, dst: Prog) -> EPSet:
+    """The image of s under the affine piece src.value(i) -> dst.value(i),
+    built in one pass as one canonical set.
+
+    With s = (n, m, R, L) and src = sf + i*ss, dst = df + i*ds:
+
+    - Tail start.  From index i0 on, membership of src.value(i) in s is
+      read off R.  i0 is one past the last source point below n where L
+      and the pattern of R disagree (0 if there is none).  So the
+      threshold and period guarded are those of s restricted to the
+      source, not of s, and the guard refuses nothing that mapping that
+      restriction progression by progression would answer.
+    - Tail.  With x0 = src.value(i0), g = gcd(m, ss) and k = m/g, the
+      point x0 + j*ss is in s iff it is r (mod m) for some r in R with
+      r = x0 (mod g), which fixes j = (r - x0)/g * (ss/g)^-1 (mod k).  Those
+      j form a k-bit word, cut to its least period p; the image's tail then
+      has period p*ds, with bit (y0 + j*ds) mod p*ds set for each j in the
+      word, where y0 = dst.value(i0).
+    - Low part.  The points of L on the source below x0, each sent to its
+      destination; all lie below y0 - ds + 1, the threshold used.
+
+    Cost rule: no loop runs over the indices below i0 or over the k
+    positions of the word.  The Python loops visit only the set bits of R,
+    of the word and of the low part they map (none at all for a shift,
+    where ss == ds and the low part is moved by one shift); the disagreement
+    search is bitwise on L.  Threshold and period are guarded before
+    the image's masks are allocated; the word itself is no wider than m.
+    """
+    n, m = s.threshold, s.period
+    sf, ss, df, ds = src.first, src.step, dst.first, dst.step
+    i0, lo = 0, 0
+    if n > sf:
+        on_src = _repeat(1, ss, n - sf) << sf
+        clash = (s.low ^ _repeat(s.residues, m, n)) & on_src
+        if clash:
+            i0 = (clash.bit_length() - 1 - sf) // ss + 1
+            lo = s.low & on_src & _full(sf + (i0 - 1) * ss + 1)
+    x0 = sf + i0 * ss
+    g = gcd(m, ss)
+    k = m // g
+    if k == 1:  # the source points from x0 on share one residue mod m
+        p, word = 1, s.residues >> x0 % m & 1
+    else:
+        inv = pow(ss // g, -1, k)
+        word = _mask(((r - x0) // g * inv % k for r in s.residues if (r - x0) % g == 0), k)
+        p, word = _least_period(k, word)
+    if not (word or lo):
+        return EMPTY
+    n_img, m_img = max(df + (i0 - 1) * ds + 1, 0), p * ds
+    _guard(n_img, m_img)
+    y0 = df + i0 * ds
+    if p == 1:
+        res = word << y0 % ds
+    else:
+        res = _mask(((y0 + j * ds) % m_img for j in Bits(word)), m_img)
+    if ss == ds:
+        low = lo << df >> sf
+    else:
+        low = _mask((df + (x - sf) // ss * ds for x in Bits(lo)), n_img) if lo else 0
+    return _canonical(n_img, m_img, res, low)
 
 
 def union_all(sets) -> EPSet:

@@ -1,9 +1,11 @@
 """Partial bijections of the naturals: construction, algebra, factorisation."""
 
+import random
+import time
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ixm.chart as chart_module
@@ -38,15 +40,27 @@ from ixm.chart import (
     stats,
     transposition,
 )
+import ixm.epset as epset_module
 from ixm.epset import (
     EMPTY,
+    MAX_BITS,
     NATURALS,
+    Bits,
     Prog,
     from_finite,
+    from_prog,
+    make_epset,
     progs_intersect,
     residue_class,
+    union_all,
 )
-from ixm.errors import InjectivityError, InternalError, ParameterError, ParseError
+from ixm.errors import (
+    InjectivityError,
+    InternalError,
+    ParameterError,
+    ParseError,
+    ResourceGuardError,
+)
 from ixm.sampling import make_rng, random_chart, random_epset, random_mixed
 
 EVENS = residue_class(0, 2)
@@ -104,6 +118,23 @@ class TestMakeChart:
     def test_negative_point_rejected(self):
         with pytest.raises(ParameterError):
             make_chart([(-1, 0)], ())
+
+    def test_clash_in_canonical_form_is_an_internal_error(self, monkeypatch):
+        # The input is injective; only a broken canonicalisation can make
+        # the canonical pieces overlap, and that is a fault of ixm.
+        real = chart_module._canonicalize
+
+        def overlapping(pair_map, pieces):
+            pairs, canonical = real(pair_map, pieces)
+            return pairs, canonical + canonical[:1]
+
+        monkeypatch.setattr(chart_module, "_canonicalize", overlapping)
+        with pytest.raises(InternalError, match="not injective: piece sources overlap at 0") as caught:
+            make_chart((), (Piece(Prog(0, 2), Prog(0, 2)),))
+        assert not isinstance(caught.value, InjectivityError)
+        # An injectivity fault of the input is still the caller's.
+        with pytest.raises(InjectivityError):
+            make_chart([(0, 1), (2, 1)], ())
 
 
 class TestApply:
@@ -273,6 +304,151 @@ class TestSetImages:
             for x in range(60):
                 want = apply_chart(f, x) if x in s else None
                 assert apply_chart(r, x) == want
+
+
+def _image_oracle(f, s):
+    """Reference image: intersect s with each piece source, decompose the
+    hit into progressions and a finite part, and map each one separately."""
+    parts = [from_finite(y for x, y in f.pairs if x in s)]
+    for pc in f.pieces:
+        hit = s.intersect(from_prog(pc.src))
+        if hit.is_empty():
+            continue
+        progs, low = hit.decompose()
+        parts.append(from_finite(pc.apply(x) for x in low))
+        for pr in progs:
+            i0 = pc.src.index(pr.first)
+            k = pr.step // pc.src.step
+            parts.append(from_prog(Prog(pc.dst.value(i0), pc.dst.step * k)))
+    return union_all(parts)
+
+
+def _preimage_oracle(f, s):
+    return _image_oracle(invert(f), s)
+
+
+def _bits(rng, width, kind):
+    """An empty, sparse (a few points) or dense (about half) subset of range(width)."""
+    if kind == "empty" or width == 0:
+        return []
+    if kind == "sparse":
+        return rng.sample(range(width), min(width, 6))
+    return Bits(rng.getrandbits(width))
+
+
+@st.composite
+def wide_sets(draw):
+    """Thresholds up to 10**5, periods up to 840, and low parts and
+    residue sets that are empty, sparse or dense."""
+    n = draw(st.one_of(st.integers(0, 100), st.integers(100, 10**5)))
+    m = draw(st.one_of(st.integers(1, 12), st.integers(12, 840)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = st.sampled_from(["empty", "sparse", "dense"])
+    return make_epset(n, m, _bits(rng, m, draw(kinds)), _bits(rng, n, draw(kinds)))
+
+
+@st.composite
+def wide_charts(draw):
+    """Up to three pieces with steps up to 840 and starts up to 10**5, on
+    distinct classes mod a source and a destination modulus, plus pairs
+    off the pieces."""
+    ms, md = draw(st.integers(1, 280)), draw(st.integers(1, 280))
+    count = draw(st.integers(1, min(3, ms, md)))
+    srcs = draw(st.lists(st.integers(0, ms - 1), min_size=count, max_size=count, unique=True))
+    dsts = draw(st.lists(st.integers(0, md - 1), min_size=count, max_size=count, unique=True))
+    pieces = []
+    for r, e in zip(srcs, dsts):
+        src = Prog(r + ms * draw(st.integers(0, 10**5 // ms)), ms * draw(st.integers(1, 3)))
+        dst = Prog(e + md * draw(st.integers(0, 10**5 // md)), md * draw(st.integers(1, 3)))
+        pieces.append(Piece(src, dst))
+    pairs = {}
+    for x, y in draw(st.lists(st.tuples(st.integers(0, 10**5), st.integers(0, 10**5)), max_size=4)):
+        if all(x not in pc.src and y not in pc.dst for pc in pieces) and y not in pairs.values():
+            pairs.setdefault(x, y)
+    try:
+        return make_chart(pairs.items(), pieces)
+    except ResourceGuardError:  # a rule group with too many classes
+        assume(False)
+
+
+def _answers_as_oracle(fn, oracle, f, s):
+    """fn answers whatever the oracle answers, and with the same set.  Where
+    the oracle is refused, fn may still answer (its guard sees the image's
+    own threshold), so there is nothing to compare."""
+    try:
+        want = oracle(f, s)
+    except ResourceGuardError:
+        return
+    assert fn(f, s) == want
+
+
+class TestSetImagesAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(wide_charts(), wide_sets())
+    def test_image_equals_oracle(self, f, s):
+        _answers_as_oracle(image_of_set, _image_oracle, f, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_charts(), wide_sets())
+    def test_preimage_equals_oracle(self, f, s):
+        _answers_as_oracle(preimage_of_set, _preimage_oracle, f, s)
+
+    def test_random_charts_equal_oracle(self):
+        rng = make_rng(71)
+        for _ in range(300):
+            f, s = random_chart(rng), random_epset(rng)
+            assert image_of_set(f, s) == _image_oracle(f, s)
+            assert preimage_of_set(f, s) == _preimage_oracle(f, s)
+
+
+class TestSetImageCost:
+    SHIFT5 = make_chart((), (Piece(Prog(0, 1), Prog(5, 1)),))  # x -> x + 5
+    THIRD = make_chart((), (Piece(Prog(0, 3), Prog(0, 1)),))  # 3x -> x
+
+    def test_sparse_set_near_the_mask_limit_is_cheap(self):
+        # An O(threshold) loop takes far longer than a second here.
+        n = MAX_BITS - 10
+        s = make_epset(n, 7, {3}, {0, 12_345, n - 300, n - 1})
+        start = time.perf_counter()
+        img = image_of_set(self.SHIFT5, s)
+        pre = preimage_of_set(self.SHIFT5, img)
+        third = image_of_set(self.THIRD, s)
+        assert time.perf_counter() - start < 1.0
+        assert img == make_epset(n + 5, 7, {1}, {5, 12_350, n - 295, n + 4})
+        assert pre == s
+        # 3i >= n lies in s iff 3i = 3 (mod 7), that is i = 1 (mod 7).
+        assert third == make_epset(-(-n // 3), 7, {1}, {0, 4_115, (n - 300) // 3})
+
+    def test_wide_image_period_is_refused_before_allocating(self, monkeypatch):
+        # x -> 8x sends 1 mod 2**22 onto 8 mod 2**25, wider than MAX_BITS.
+        widths = []
+        real_mask = epset_module._mask
+        monkeypatch.setattr(
+            epset_module, "_mask", lambda xs, width: widths.append(width) or real_mask(xs, width)
+        )
+        times8 = make_chart((), (Piece(Prog(0, 1), Prog(0, 8)),))
+        with pytest.raises(ResourceGuardError):
+            image_of_set(times8, residue_class(1, 2**22))
+        assert max(widths) <= MAX_BITS
+        with pytest.raises(ResourceGuardError):
+            _image_oracle(times8, residue_class(1, 2**22))
+
+    def test_answers_where_the_oracle_answers(self):
+        # The image's threshold and period are those of the set's points
+        # on the source, not of the whole set: here the whole set needs a
+        # threshold of MAX_BITS and a period of 2**22 (source index k * ds
+        # would reach 2**25), but its points on the evens do not.
+        evens_x2 = make_chart((), (Piece(Prog(0, 2), Prog(0, 4)),))  # 2i -> 4i
+        all_but_one = NATURALS.difference(from_finite([MAX_BITS - 1]))
+        assert all_but_one.threshold == MAX_BITS
+        assert image_of_set(evens_x2, all_but_one) == residue_class(0, 4)
+        assert _image_oracle(evens_x2, all_but_one) == residue_class(0, 4)
+        evens_x8 = make_chart((), (Piece(Prog(0, 2), Prog(0, 16)),))  # 2i -> 16i
+        s = residue_class(0, 2**20).union(residue_class(1, 2**22))
+        assert s.period == 2**22
+        assert image_of_set(evens_x8, s) == residue_class(0, 2**23)
+        assert _image_oracle(evens_x8, s) == residue_class(0, 2**23)
+        assert preimage_of_set(evens_x8, residue_class(0, 2**23)) == residue_class(0, 2**20)
 
 
 class TestChartUnion:
