@@ -324,10 +324,13 @@ NATURALS = make_epset(0, 1, (0,), ())
 
 
 def from_finite(xs) -> EPSet:
+    # Threshold max + 1, period 1 and an empty tail are already canonical.
     pts = set(xs)
     if not pts:
         return EMPTY
-    return make_epset(max(pts) + 1, 1, (), pts)
+    n = max(pts) + 1
+    _guard(n, 1)
+    return EPSet(n, 1, Bits(0), Bits(_mask(pts, n)))
 
 
 def from_prog(p: Prog) -> EPSet:

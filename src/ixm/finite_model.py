@@ -6,18 +6,25 @@ this module doubles as the oracle layer for the symbolic side: claimed
 identities about ranks, ideals, maximal subsemigroups and transversal
 products are checked against exhaustive computation.  The complete list
 of maximal subsemigroups comes from a J-class reduction, one rank at a time.
+
+Closures and closedness tests multiply through one kernel, ``_row``: the
+map u becomes an ``operator.itemgetter`` that reads ``v + (None,)``, so a
+whole row of products u*v is one ``map`` call, one Python step per row and
+one C call per product.  ``fchart_compose`` is the pointwise product for
+single pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 FChart = tuple  # entries: int | None, injective on defined points
-FTrans = tuple  # entries: int, total
+FTrans = tuple  # entries: int, total; composes as an FChart with no holes
 
 
 # -- Element arithmetic -----------------------------------------------------
@@ -25,6 +32,19 @@ FTrans = tuple  # entries: int, total
 
 def fchart_compose(u: FChart, v: FChart) -> FChart:
     return tuple(v[e] if e is not None else None for e in u)
+
+
+def _row(u: FChart):
+    """The map ``v + (None,) -> u*v`` for maps v on the points of u.
+
+    Undefined points of u read the pad, so partial and total maps compose
+    alike, and ``map(_row(u), padded)`` forms a row of products in C.
+    """
+    idx = [len(u) if y is None else y for y in u]
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    # An itemgetter of one index returns the item, not a 1-tuple.
+    return lambda pv: tuple(pv[i] for i in idx)
 
 
 def fchart_invert(u: FChart) -> FChart:
@@ -69,10 +89,6 @@ def is_fchart(u) -> bool:
             return False
         seen.add(y)
     return True
-
-
-def ftrans_compose(u: FTrans, v: FTrans) -> FTrans:
-    return tuple(v[e] for e in u)
 
 
 def ftrans_rank(u: FTrans) -> int:
@@ -144,47 +160,52 @@ def partial_identities(n: int) -> frozenset:
 # -- Generic closure ----------------------------------------------------------
 
 
-def semigroup_closure(gens, mul, base=frozenset(), stop: int | None = None) -> frozenset:
+def semigroup_closure(gens, base=frozenset(), stop: int | None = None) -> frozenset:
     """The subsemigroup generated by ``gens`` together with ``base``.
 
-    ``base`` must already be closed under ``mul``: products of two base
-    elements are never formed.  Every new element is multiplied on both
-    sides by each generator, the base elements included, which reaches
-    every word in them.  In the first round the new elements are the
-    generators outside ``base``, so a product of two of them is formed
-    once, as a*g: g*a is formed when g is the new element.  With ``stop``
-    set, the search ends as soon as at least that many elements are known,
-    so the result may then fall short of the closure; to ask "is this
-    everything?" pass the size of everything.
+    ``base`` must already be closed: products of two base elements are
+    never formed.  Every new element a is multiplied on both sides by each
+    generator, the base elements included, which reaches every word in
+    them.  The products a*g form one row, ``map(_row(a), padded)``; the
+    products g*a call each generator's own row on the padded a, built once
+    per call.  In the first round the new elements are the generators
+    outside ``base``, so a product of two of them is formed once, as a*g:
+    g*a is formed when g is the new element.  With ``stop`` set, the search
+    ends as soon as at least that many elements are known, so the result
+    may then fall short of the closure; to ask "is this everything?" pass
+    the size of everything.
     """
     limit = float("inf") if stop is None else stop
     elements = set(base)
     frontier = [g for g in dict.fromkeys(gens) if g not in elements]
+    multipliers = [*elements, *frontier]
     elements.update(frontier)
-    multipliers = list(elements)
-    one_sided = set(frontier)
+    padded = [g + (None,) for g in multipliers]
+    rows = [_row(g) for g in multipliers]
+    left = rows[: len(multipliers) - len(frontier)]
     while frontier and len(elements) < limit:
         fresh = []
         for a in frontier:
-            for g in multipliers:
-                for c in (mul(a, g),) if g in one_sided else (mul(a, g), mul(g, a)):
-                    if c not in elements:
-                        elements.add(c)
-                        fresh.append(c)
-                        if len(elements) >= limit:
-                            return frozenset(elements)
+            pa = a + (None,)
+            for c in chain(map(_row(a), padded), [g(pa) for g in left]):
+                if c not in elements:
+                    elements.add(c)
+                    fresh.append(c)
+                    if len(elements) >= limit:
+                        return frozenset(elements)
         frontier = fresh
-        one_sided = ()
+        left = rows
     return frozenset(elements)
 
 
 def fchart_closure(gens) -> frozenset:
-    return semigroup_closure(gens, fchart_compose)
+    return semigroup_closure(gens)
 
 
 def is_closed(elements) -> bool:
     elements = set(elements)
-    return all(fchart_compose(a, b) in elements for a in elements for b in elements)
+    padded = [b + (None,) for b in elements]
+    return all(elements.issuperset(map(_row(a), padded)) for a in elements)
 
 
 def is_inverse_closed(elements) -> bool:
@@ -232,7 +253,7 @@ def mutt_products(vs, assignment: dict, maxlen: int) -> frozenset:
             imp = set(p)
             for v in vs:
                 if imp <= set(assignment[v]):
-                    q = ftrans_compose(p, v)
+                    q = fchart_compose(p, v)
                     if q not in seen:
                         fresh.add(q)
         seen |= fresh
@@ -283,7 +304,7 @@ def is_maximal(m, n: int) -> bool:
         raise ParameterError("candidate is the whole monoid, hence not proper")
     whole = len(universe)
     return all(
-        len(semigroup_closure((x,), fchart_compose, base=mset, stop=whole)) == whole
+        len(semigroup_closure((x,), base=mset, stop=whole)) == whole
         for x in universe - mset
     )
 
@@ -304,9 +325,9 @@ def maximal_subgroups(n: int) -> list[frozenset]:
     whole = frozenset(perms)
     subgroups = {frozenset({identity_fchart(n)})}
     for g in perms:
-        subgroups.add(semigroup_closure({g}, ftrans_compose))
+        subgroups.add(semigroup_closure({g}))
         for h in perms:
-            subgroups.add(semigroup_closure({g, h}, ftrans_compose))
+            subgroups.add(semigroup_closure({g, h}))
     proper = [s for s in subgroups if s != whole]
     maximal = [
         s
@@ -375,7 +396,7 @@ def completeness_search(n: int) -> SearchResult:
     maximal = []
     for k in range(n, -1, -1):
         rest = frozenset(u for u in universe if fchart_rank(u) != k)
-        base = semigroup_closure(rest, fchart_compose)
+        base = semigroup_closure(rest)
         if base == universe:
             continue
         if k == n:

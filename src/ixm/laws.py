@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from math import lcm
 
 from .cardinal import ALEPH0, ALEPH1, Card, card_add, card_cmp, fin
@@ -394,26 +395,42 @@ def _window(*sets: EPSet, pad: int = 3, cap: int = 2000) -> int:
 # -- Composition statistics (threshold lemma) ----------------------------------------
 
 
-def _lemma_checks(ctx, rf, cf, df, rg, cg, dg, rh, ch, dh, tag, mus, add, cmp_):
-    ctx.check(cmp_(rh, rf) <= 0 and cmp_(rh, rg) <= 0, f"{tag}: rank exceeds a factor")
+def _lemma_checks(ctx, f, g, h, tag, mus, add, cmp_):
+    """Lemma 2.1 on one product h = f*g, each given as (rank, collapse,
+    defect).  ``tag`` is called only to word a failure."""
+    (rf, cf, df), (rg, cg, dg), (rh, ch, dh) = f, g, h
+    ctx.check(
+        cmp_(rh, rf) <= 0 and cmp_(rh, rg) <= 0,
+        lambda: f"{tag()}: rank exceeds a factor",
+    )
     ctx.check(
         cmp_(cf, ch) <= 0 and cmp_(ch, add(cf, cg)) <= 0,
-        f"{tag}: collapse outside [c(f), c(f)+c(g)]",
+        lambda: f"{tag()}: collapse outside [c(f), c(f)+c(g)]",
     )
     ctx.check(
         cmp_(dg, dh) <= 0 and cmp_(dh, add(df, dg)) <= 0,
-        f"{tag}: defect outside [d(g), d(f)+d(g)]",
+        lambda: f"{tag()}: defect outside [d(g), d(f)+d(g)]",
     )
     zero = fin(0) if isinstance(cf, Card) else 0
     if df == zero:
-        ctx.check(ch == add(cf, cg), f"{tag}: collapse not additive despite d(f)=0")
+        ctx.check(
+            ch == add(cf, cg), lambda: f"{tag()}: collapse not additive despite d(f)=0"
+        )
     if cg == zero:
-        ctx.check(dh == add(df, dg), f"{tag}: defect not additive despite c(g)=0")
+        ctx.check(
+            dh == add(df, dg), lambda: f"{tag()}: defect not additive despite c(g)=0"
+        )
     for mu in mus:
         if cmp_(df, mu) < 0 and cmp_(mu, cg) <= 0:
-            ctx.check(cmp_(ch, mu) >= 0, f"{tag}: collapse lost the {mu!r} bound")
+            ctx.check(
+                cmp_(ch, mu) >= 0,
+                lambda mu=mu: f"{tag()}: collapse lost the {mu!r} bound",
+            )
         if cmp_(cg, mu) < 0 and cmp_(mu, df) <= 0:
-            ctx.check(cmp_(dh, mu) >= 0, f"{tag}: defect lost the {mu!r} bound")
+            ctx.check(
+                cmp_(dh, mu) >= 0,
+                lambda mu=mu: f"{tag()}: defect lost the {mu!r} bound",
+            )
 
 
 def _suite_lemma21(ctx, rng, cases):
@@ -424,15 +441,19 @@ def _suite_lemma21(ctx, rng, cases):
         sf, sg, sh = stats(f), stats(g), stats(h)
         _lemma_checks(
             ctx,
-            sf.rank, sf.collapse, sf.defect,
-            sg.rank, sg.collapse, sg.defect,
-            sh.rank, sh.collapse, sh.defect,
-            f"case {i}",
+            (sf.rank, sf.collapse, sf.defect),
+            (sg.rank, sg.collapse, sg.defect),
+            (sh.rank, sh.collapse, sh.defect),
+            partial("case {}".format, i),
             mus,
             card_add,
             card_cmp,
         )
     return "thresholds fin:1 and aleph0"
+
+
+def _pair_tag(n, u, v):
+    return f"n={n} {render_fchart(u)}*{render_fchart(v)}"
 
 
 def _suite_lemma21_fin(ctx, rng, cases):
@@ -442,17 +463,16 @@ def _suite_lemma21_fin(ctx, rng, cases):
     for n in (3, 4):
         universe = all_fcharts(n)
         mus = tuple(range(1, n + 1))
+        rcd = {u: (fchart_rank(u), fchart_collapse(u), fchart_defect(u)) for u in universe}
         for u in universe:
-            ru, cu, du = fchart_rank(u), fchart_collapse(u), fchart_defect(u)
             for v in universe:
-                w = fchart_compose(u, v)
                 pairs += 1
                 _lemma_checks(
                     ctx,
-                    ru, cu, du,
-                    fchart_rank(v), fchart_collapse(v), fchart_defect(v),
-                    fchart_rank(w), fchart_collapse(w), fchart_defect(w),
-                    f"n={n} {render_fchart(u)}*{render_fchart(v)}",
+                    rcd[u],
+                    rcd[v],
+                    rcd[fchart_compose(u, v)],
+                    partial(_pair_tag, n, u, v),
                     mus,
                     intadd,
                     intcmp,

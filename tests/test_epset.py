@@ -448,6 +448,28 @@ class TestPeriodSearch:
         with pytest.raises(ParameterError):
             residue_class(0, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 200), min_size=1, max_size=20))
+    def test_finite_sets_are_built_canonical(self, pts):
+        s = from_finite(pts)
+        assert s == make_epset(max(pts) + 1, 1, (), pts)
+        assert members(s, max(pts) + 3) == pts
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sets(st.integers(MAX_BITS - 100, MAX_BITS - 1), min_size=1, max_size=5))
+    def test_finite_sets_at_the_cap(self, pts):
+        s = from_finite(pts)
+        assert s == make_epset(max(pts) + 1, 1, (), pts)
+        assert {x for x in range(MAX_BITS - 101, MAX_BITS + 2) if x in s} == pts
+
+    def test_finite_set_guards(self):
+        assert from_finite([]) == EMPTY
+        with pytest.raises(ResourceGuardError):
+            from_finite([0, MAX_BITS])
+        for bad in ([-1], [-5, -2], [-1, 3]):
+            with pytest.raises(ParameterError):
+                from_finite(bad)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(PROGS, max_size=8))
     def test_unions_by_step(self, progs):

@@ -42,11 +42,16 @@ from ixm.finite_model import (
 from ixm.sampling import make_rng, random_fchart, random_nonempty_fchart
 
 
+def compose(u, v):
+    """Pointwise product u*v (u first), independent of the library's kernel."""
+    return tuple(v[e] if e is not None else None for e in u)
+
+
 def naive_closure(gens):
     """Multiply every element by every other until nothing new appears."""
     elements = set(gens)
     while True:
-        fresh = {fchart_compose(a, b) for a in elements for b in elements} - elements
+        fresh = {compose(a, b) for a in elements for b in elements} - elements
         if not fresh:
             return elements
         elements |= fresh
@@ -134,6 +139,48 @@ class TestEnumeration:
                     assert fchart_compose(g, f) in ideal
 
 
+class TestRowKernel:
+    """``_row(u)`` applied to ``v + (None,)`` must be the product u*v."""
+
+    @staticmethod
+    def agrees(pairs):
+        return all(finite_model._row(u)(v + (None,)) == compose(u, v) for u, v in pairs)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_pair_of_partial_maps(self, n):
+        universe = all_fcharts(n)
+        assert self.agrees(itertools.product(universe, universe))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_of_total_maps(self, n):
+        universe = list(itertools.product(range(n), repeat=n))
+        assert self.agrees(itertools.product(universe, universe))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random_pairs(self, n):
+        rng = make_rng(n)
+        charts = [(random_fchart(rng, n), random_fchart(rng, n)) for _ in range(300)]
+        maps = [
+            tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(2))
+            for _ in range(300)
+        ]
+        assert self.agrees(charts) and self.agrees(maps)
+
+    def test_one_point_rows_are_tuples(self):
+        # A one-index itemgetter would return the item itself.
+        assert finite_model._row((0,))((None, None)) == (None,)
+        assert finite_model._row((None,))((0, None)) == (None,)
+        assert finite_model._row(())((None,)) == ()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_closures_on_tiny_ground_sets(self, n):
+        universe = set(all_fcharts(n))
+        for u in universe:
+            assert fchart_closure([u]) == naive_closure([u])
+        assert is_closed(universe)
+        assert fchart_closure(universe) == universe
+
+
 class TestClosure:
     def test_identity_alone(self):
         e = identity_fchart(3)
@@ -164,10 +211,10 @@ class TestClosure:
         base = fchart_closure(gens)
         x = data.draw(st.sampled_from(all_fcharts(len(gens[0]))))
         want = naive_closure(base | {x})
-        assert semigroup_closure([x], fchart_compose, base=base) == want
-        assert semigroup_closure([x], fchart_compose, base=base, stop=len(want)) == want
+        assert semigroup_closure([x], base=base) == want
+        assert semigroup_closure([x], base=base, stop=len(want)) == want
         # One element past the base is reached before any product is formed.
-        part = semigroup_closure([x], fchart_compose, base=base, stop=len(base) + 1)
+        part = semigroup_closure([x], base=base, stop=len(base) + 1)
         assert part == base | {x}
 
     @settings(max_examples=60, deadline=None)
@@ -177,13 +224,21 @@ class TestClosure:
         # then on every new element meets every generator on both sides.
         base = fchart_closure(data.draw(st.lists(st.sampled_from(gens), max_size=2)))
         calls = 0
+        row = finite_model._row
 
-        def mul(a, b):
-            nonlocal calls
-            calls += 1
-            return fchart_compose(a, b)
+        def counting_row(u):
+            product = row(u)
 
-        got = semigroup_closure(gens, mul, base=base)
+            def counted(pv):
+                nonlocal calls
+                calls += 1
+                return product(pv)
+
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finite_model, "_row", counting_row)
+            got = semigroup_closure(gens, base=base)
         assert got == naive_closure(set(gens) | base)
         k = len(set(gens) - base)
         b = len(base)
@@ -192,6 +247,13 @@ class TestClosure:
     def test_is_closed(self):
         assert is_closed(sym_group(3))
         assert not is_closed([(1, 0, 2), (1, 2, 0)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_is_closed_matches_pointwise_products(self, elements):
+        want = all(compose(a, b) in elements for a in elements for b in elements)
+        assert is_closed(elements) == want
+        assert is_closed(naive_closure(elements))
 
     def test_is_inverse_closed(self):
         assert is_inverse_closed(sym_group(4))
@@ -429,7 +491,7 @@ def _complete_by_powerset(n):
     proper = []
     for mask in range((1 << size) - 1):
         s = subset(mask)
-        if all(fchart_compose(a, b) in s for a in s for b in s):
+        if all(compose(a, b) in s for a in s for b in s):
             proper.append(mask)
     inverse = [m for m in proper if is_inverse_closed(subset(m))]
     return maximal(proper), maximal(inverse)

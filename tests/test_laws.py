@@ -6,9 +6,13 @@ finds fails here.  Regenerate a pin only when a suite itself is changed on
 purpose, and say why in CHANGES.md.
 """
 
+from functools import partial
+
 import pytest
 
-from ixm.laws import run_suite, suite_names
+from ixm import laws
+from ixm.cardinal import ALEPH0, card_add, card_cmp, fin
+from ixm.laws import _FAIL_CAP, _Ctx, _lemma_checks, _pair_tag, run_suite, suite_names
 
 CASES = 25
 
@@ -53,3 +57,116 @@ def test_suite_hash(name):
     report = run_suite(name, seed=0, cases=CASES)
     assert report.ok, report.failures
     assert report.content_hash == PINS[name]
+
+
+# -- Lemma 2.1 failure messages ------------------------------------------------
+# The lemma suites word a failure only when a check fails.  These inputs fail
+# on purpose; the expected strings are the ones the eagerly formatted
+# messages read.  ``Deferred`` renders each message after all checks have run,
+# so a message that read a loop variable late would name the wrong value.
+
+
+class Deferred(_Ctx):
+    def __init__(self):
+        super().__init__()
+        self.pending = []
+
+    def check(self, cond, msg):
+        self.executed += 1
+        if not cond:
+            if len(self.pending) < _FAIL_CAP:
+                self.pending.append(msg)
+            else:
+                self.dropped += 1
+        return bool(cond)
+
+    def rendered(self):
+        return [m() if callable(m) else str(m) for m in self.pending]
+
+
+def intcmp(a, b):
+    return (a > b) - (a < b)
+
+
+def intadd(a, b):
+    return a + b
+
+
+U, V = (0, None, None, None), (1, 2, None, None)
+INT_TAG, INT_TAG_SWAPPED = "n=4 [0,_,_,_]*[1,2,_,_]", "n=4 [1,2,_,_]*[0,_,_,_]"
+LEMMA_CASES = {
+    "int-rank": (
+        ((1, 3, 3), (2, 2, 2), (2, 2, 2), partial(_pair_tag, 4, U, V), (1, 2, 3, 4), intadd, intcmp),
+        4,
+        [
+            f"{INT_TAG}: rank exceeds a factor",
+            f"{INT_TAG}: collapse outside [c(f), c(f)+c(g)]",
+            f"{INT_TAG}: defect lost the 3 bound",
+        ],
+    ),
+    "int-mu": (
+        ((4, 0, 0), (2, 2, 2), (3, 1, 1), partial(_pair_tag, 4, V, U), (1, 2, 3, 4), intadd, intcmp),
+        6,
+        [
+            f"{INT_TAG_SWAPPED}: rank exceeds a factor",
+            f"{INT_TAG_SWAPPED}: defect outside [d(g), d(f)+d(g)]",
+            f"{INT_TAG_SWAPPED}: collapse not additive despite d(f)=0",
+            f"{INT_TAG_SWAPPED}: collapse lost the 2 bound",
+        ],
+    ),
+    "card-rank": (
+        (
+            (fin(2), ALEPH0, fin(0)),
+            (ALEPH0, fin(0), fin(0)),
+            (ALEPH0, ALEPH0, fin(0)),
+            partial("case {}".format, 7),
+            (fin(1), ALEPH0),
+            card_add,
+            card_cmp,
+        ),
+        5,
+        ["case 7: rank exceeds a factor"],
+    ),
+    "card-mu": (
+        (
+            (ALEPH0, fin(0), fin(0)),
+            (ALEPH0, ALEPH0, fin(0)),
+            (ALEPH0, fin(1), fin(0)),
+            partial("case {}".format, 12),
+            (fin(1), ALEPH0),
+            card_add,
+            card_cmp,
+        ),
+        6,
+        [
+            "case 12: collapse not additive despite d(f)=0",
+            "case 12: collapse lost the Card('aleph0') bound",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEMMA_CASES))
+@pytest.mark.parametrize("ctx_type", [_Ctx, Deferred])
+def test_lemma_failure_messages(case, ctx_type):
+    args, executed, want = LEMMA_CASES[case]
+    ctx = ctx_type()
+    _lemma_checks(ctx, *args)
+    got = ctx.rendered() if ctx_type is Deferred else ctx.failures
+    assert (ctx.executed, got) == (executed, want)
+
+
+def test_lemma21_fin_names_each_failing_pair(monkeypatch):
+    # A product that is always the identity has rank n, more than any
+    # rank-deficient factor, so the suite fails from the first pair on.
+    monkeypatch.setattr(laws, "fchart_compose", lambda u, v: tuple(range(len(u))))
+    ctx = Deferred()
+    laws._suite_lemma21_fin(ctx, None, 0)
+    got = ctx.rendered()
+    assert (ctx.executed, len(got), ctx.dropped) == (183_017, 20, 170_721)
+    assert got[:3] == [
+        "n=3 [_,_,_]*[_,_,_]: rank exceeds a factor",
+        "n=3 [_,_,_]*[_,_,_]: collapse outside [c(f), c(f)+c(g)]",
+        "n=3 [_,_,_]*[_,_,_]: defect outside [d(g), d(f)+d(g)]",
+    ]
+    assert got[-1] == "n=3 [_,_,_]*[_,0,1]: rank exceeds a factor"
