@@ -10,8 +10,12 @@ of maximal subsemigroups comes from a J-class reduction, one rank at a time.
 Closures and closedness tests multiply through one kernel, ``_row``: the
 map u becomes an ``operator.itemgetter`` that reads ``v + (None,)``, so a
 whole row of products u*v is one ``map`` call, one Python step per row and
-one C call per product.  ``fchart_compose`` is the pointwise product for
-single pairs.
+one C call per product.  There is one closure loop, ``_close``, which runs
+on generators whose padded maps and rows are already built:
+``semigroup_closure`` builds them for its own call, and ``is_maximal``
+builds the candidate's once and shares them across its |U - M| closures,
+adding one row per closure.  ``fchart_compose`` is the pointwise product
+for single pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ FTrans = tuple  # entries: int, total; composes as an FChart with no holes
 
 
 def fchart_compose(u: FChart, v: FChart) -> FChart:
-    return tuple(v[e] if e is not None else None for e in u)
+    return tuple([v[e] if e is not None else None for e in u])
 
 
 def _row(u: FChart):
@@ -173,16 +177,32 @@ def semigroup_closure(gens, base=frozenset(), stop: int | None = None) -> frozen
     g*a is formed when g is the new element.  With ``stop`` set, the search
     ends as soon as at least that many elements are known, so the result
     may then fall short of the closure; to ask "is this everything?" pass
-    the size of everything.
+    the size of everything.  Maps on different numbers of points are
+    refused with ``ParameterError``.
     """
-    limit = float("inf") if stop is None else stop
     elements = set(base)
     frontier = [g for g in dict.fromkeys(gens) if g not in elements]
+    sizes = sorted({len(g) for g in chain(elements, frontier)})
+    if len(sizes) > 1:
+        raise ParameterError(
+            f"maps on {sizes[0]} and {sizes[-1]} points cannot be multiplied"
+        )
     multipliers = [*elements, *frontier]
     elements.update(frontier)
     padded = [g + (None,) for g in multipliers]
     rows = [_row(g) for g in multipliers]
-    left = rows[: len(multipliers) - len(frontier)]
+    return frozenset(_close(elements, frontier, padded, rows, len(elements) - len(frontier), stop))
+
+
+def _close(elements: set, frontier: list, padded: list, rows: list, base_size: int, stop) -> set:
+    """The closure loop of ``semigroup_closure``, on prepared generators.
+
+    ``elements`` holds the base and the new generators ``frontier``;
+    ``padded`` and ``rows`` list every generator, the ``base_size`` base
+    elements first.  Grows ``elements`` in place and returns it.
+    """
+    limit = float("inf") if stop is None else stop
+    left = rows[:base_size]
     while frontier and len(elements) < limit:
         fresh = []
         for a in frontier:
@@ -192,10 +212,10 @@ def semigroup_closure(gens, base=frozenset(), stop: int | None = None) -> frozen
                     elements.add(c)
                     fresh.append(c)
                     if len(elements) >= limit:
-                        return frozenset(elements)
+                        return elements
         frontier = fresh
         left = rows
-    return frozenset(elements)
+    return elements
 
 
 def fchart_closure(gens) -> frozenset:
@@ -294,6 +314,14 @@ def injective_mutt_membership(us, maxlen: int = 3):
 
 
 def is_maximal(m, n: int) -> bool:
+    """Is the closed proper subset ``m`` of the partial injections on n
+    points a maximal subsemigroup, that is, does ``m`` with any one missing
+    element generate everything?
+
+    The padded maps and rows of ``m`` are built once and shared by the
+    |U - m| closures, each of which adds only its own element's row: the
+    rows cost |m| ``_row`` calls per candidate, not per missing element.
+    """
     universe = set(all_fcharts(n))
     mset = set(m)
     if not mset <= universe:
@@ -303,10 +331,16 @@ def is_maximal(m, n: int) -> bool:
     if mset == universe:
         raise ParameterError("candidate is the whole monoid, hence not proper")
     whole = len(universe)
-    return all(
-        len(semigroup_closure((x,), base=mset, stop=whole)) == whole
-        for x in universe - mset
-    )
+    members = list(mset)
+    padded = [g + (None,) for g in members]
+    rows = [_row(g) for g in members]
+    for x in universe - mset:
+        grown = _close(
+            {*mset, x}, [x], [*padded, x + (None,)], [*rows, _row(x)], len(members), whole
+        )
+        if len(grown) < whole:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

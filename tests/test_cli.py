@@ -132,6 +132,8 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["finite", "completeness", "--n", "1"], 2),
         (["finite", "completeness", "--n", "5"], 3),
         (["finite", "completeness", "--n", "4", "--format", "records"], 0),
+        (["finite", "closure", "[0,1]", "[0,1,2]"], 2),
+        (["finite", "closure", "[0]", "[1,0]"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):

@@ -244,6 +244,18 @@ class TestClosure:
         b = len(base)
         assert calls == k * (k + 2 * b) + 2 * (k + b) * (len(got) - k - b)
 
+    @pytest.mark.parametrize(
+        "gens, base, sizes",
+        [
+            ([(0, 1), (0, 1, 2)], frozenset(), "2 and 3"),
+            ([(0,), (1, 0)], frozenset(), "1 and 2"),
+            ([(0,)], frozenset({(1, 0), (None, None)}), "1 and 2"),
+        ],
+    )
+    def test_maps_on_different_ground_sets_are_refused(self, gens, base, sizes):
+        with pytest.raises(ParameterError, match=sizes):
+            semigroup_closure(gens, base=base)
+
     def test_is_closed(self):
         assert is_closed(sym_group(3))
         assert not is_closed([(1, 0, 2), (1, 2, 0)])
@@ -378,6 +390,27 @@ class TestMaximality:
     def test_foreign_elements_rejected(self):
         with pytest.raises(ParameterError):
             is_maximal({(0, 1, 2, 3)}, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_one_closure_per_missing_element(self, n):
+        universe = frozenset(all_fcharts(n))
+        sym = frozenset(sym_group(n))
+        empty = (None,) * n
+        predicted = [f.elements for f in predicted_finite_maximals(n)]
+        # Closed sets that are maximal only for n = 2, if at all.
+        others = [
+            strict_ideal(n) | {identity_fchart(n)},
+            sym | {empty},
+            low_rank_ideal(n, n - 2),
+        ]
+        verdicts = []
+        for m in predicted + others:
+            assert is_closed(m)
+            want = all(semigroup_closure([x], base=m) == universe for x in universe - m)
+            assert is_maximal(m, n) == want
+            verdicts.append(want)
+        assert all(verdicts[: len(predicted)])
+        assert not all(verdicts[len(predicted):])
 
 
 class TestPredictions:

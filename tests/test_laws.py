@@ -12,7 +12,16 @@ import pytest
 
 from ixm import laws
 from ixm.cardinal import ALEPH0, card_add, card_cmp, fin
+from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank
 from ixm.laws import _FAIL_CAP, _Ctx, _lemma_checks, _pair_tag, run_suite, suite_names
+from ixm.partition_action import (
+    all_relations,
+    canonical_rel,
+    rel_dom_full,
+    rel_im_full,
+    rel_is_perm,
+)
+from ixm.sampling import make_rng
 
 CASES = 25
 
@@ -170,3 +179,58 @@ def test_lemma21_fin_names_each_failing_pair(monkeypatch):
         "n=3 [_,_,_]*[_,_,_]: defect outside [d(g), d(f)+d(g)]",
     ]
     assert got[-1] == "n=3 [_,_,_]*[_,0,1]: rank exceeds a factor"
+
+
+def eager_lemma21_fin(ctx):
+    """Every check on every pair, as ``lemma21-fin`` words them."""
+    for n in (3, 4):
+        universe = all_fcharts(n)
+        rcd = {u: (fchart_rank(u), fchart_collapse(u), fchart_defect(u)) for u in universe}
+        for u in universe:
+            for v in universe:
+                h = laws.fchart_compose(u, v)
+                tag = partial(_pair_tag, n, u, v)
+                mus = tuple(range(1, n + 1))
+                _lemma_checks(ctx, rcd[u], rcd[v], rcd[h], tag, mus, intadd, intcmp)
+
+
+def test_lemma21_fin_decides_each_key_once_yet_names_the_one_bad_pair(monkeypatch):
+    # The product is wrong at one pair only, so its key is seen at no other
+    # pair, while the true key of that pair passes at many others.
+    true_product = laws.fchart_compose
+
+    def wrong_once(u, v):
+        return tuple(range(len(u))) if (u, v) == (U, V) else true_product(u, v)
+
+    monkeypatch.setattr(laws, "fchart_compose", wrong_once)
+    memo, eager = Deferred(), Deferred()
+    laws._suite_lemma21_fin(memo, None, 0)
+    eager_lemma21_fin(eager)
+    got = memo.rendered()
+    assert (memo.executed, got, memo.dropped) == (eager.executed, eager.rendered(), eager.dropped)
+    assert got == [
+        f"{INT_TAG}: rank exceeds a factor",
+        f"{INT_TAG}: collapse outside [c(f), c(f)+c(g)]",
+        f"{INT_TAG}: defect outside [d(g), d(f)+d(g)]",
+        f"{INT_TAG}: defect lost the 3 bound",
+    ]
+
+
+def test_nxn_n3_checks_the_first_pair_of_each_class_pair(monkeypatch):
+    rels = all_relations(3)
+    rhos = [r for r in rels if rel_dom_full(r) and not rel_is_perm(r)]
+    sigmas = [r for r in rels if rel_im_full(r) and not rel_is_perm(r)]
+    canon = {r: canonical_rel(r) for r in rhos + sigmas}
+    reps = {}
+    for rho in rhos:
+        for sigma in sigmas:
+            reps.setdefault((canon[rho], canon[sigma]), (rho, sigma))
+    checked = []
+
+    def record(n, rho, sigma):
+        checked.append((n, rho, sigma))
+        return True
+
+    monkeypatch.setattr(laws, "nxn_closure_check", record)
+    laws._suite_nxn_n3(_Ctx(), make_rng(0), 0)
+    assert checked == [(3, rho, sigma) for rho, sigma in reps.values()]

@@ -2,6 +2,7 @@
 that a chart induces."""
 
 from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,24 @@ from hypothesis import strategies as st
 
 from ixm.chart import IDENTITY_CHART, Piece, make_chart
 from ixm.epset import Prog, residue_class
-from ixm.errors import ParseError
+from ixm.errors import ParameterError, ParseError
 from ixm.partition_action import (
     _rho_mod,
+    all_relations,
+    canonical_rel,
+    full_relation_word,
     make_partition,
     mod_partition,
     parse_partition,
     parse_rel,
+    perm_rel,
+    rel_compose,
+    rel_dom_full,
     rel_from_pairs,
+    rel_full,
     rel_identity,
+    rel_im_full,
+    rel_is_perm,
     render_partition,
     render_rel,
     rho_of,
@@ -112,3 +122,68 @@ class TestText:
     def test_bad_relation_rejected(self, text):
         with pytest.raises(ParseError):
             parse_rel(text)
+
+
+def reference_word(n, rho, sigma):
+    """The same breadth-first search on ``BinRel`` values through
+    ``rel_compose``, one product at a time."""
+    gens = [("g", rho), ("h", sigma)]
+    gens += [(("perm", pi), perm_rel(pi)) for pi in permutations(range(n))]
+    target = rel_full(n)
+    seen = {}
+    for label, r in gens:
+        seen.setdefault(r, (label,))
+    frontier = dict(seen)
+    while frontier and target not in seen:
+        fresh = {}
+        for r, word in frontier.items():
+            for label, gen in gens:
+                nxt = rel_compose(r, gen)
+                if nxt not in seen and nxt not in fresh:
+                    fresh[nxt] = word + (label,)
+        seen.update(fresh)
+        frontier = fresh
+    return seen.get(target)
+
+
+def first_of_each_class(rels):
+    firsts = {}
+    for r in rels:
+        firsts.setdefault(canonical_rel(r), r)
+    return list(firsts.values())
+
+
+def value_of(word, n, rho, sigma):
+    gens = {"g": rho, "h": sigma}
+    acc = rel_identity(n)
+    for label in word:
+        acc = rel_compose(acc, gens[label] if label in gens else perm_rel(label[1]))
+    return acc
+
+
+class TestRelationWordSearch:
+    def test_every_pair_on_two_points(self):
+        rels = all_relations(2)
+        found = 0
+        for rho, sigma in product(rels, rels):
+            word = full_relation_word(2, rho, sigma)
+            assert word == reference_word(2, rho, sigma), (rho, sigma)
+            if word is not None:
+                found += 1
+                assert value_of(word, 2, rho, sigma) == rel_full(2)
+        assert 0 < found < len(rels) ** 2
+
+    def test_every_canonical_pair_on_three_points(self):
+        rels = all_relations(3)
+        rhos = first_of_each_class(r for r in rels if rel_dom_full(r) and not rel_is_perm(r))
+        sigmas = first_of_each_class(r for r in rels if rel_im_full(r) and not rel_is_perm(r))
+        for rho, sigma in product(rhos, sigmas):
+            word = full_relation_word(3, rho, sigma)
+            assert word is not None and word == reference_word(3, rho, sigma), (rho, sigma)
+            assert value_of(word, 3, rho, sigma) == rel_full(3)
+
+    def test_relations_on_other_sizes_are_refused(self):
+        with pytest.raises(ParameterError):
+            full_relation_word(3, rel_full(2), rel_full(3))
+        with pytest.raises(ParameterError):
+            full_relation_word(2, rel_full(2), rel_identity(3))
