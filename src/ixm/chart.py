@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, Card, ZERO
 from .epset import (
@@ -32,6 +33,7 @@ from .epset import (
     NATURALS,
     Prog,
     ParseError,
+    _guard,
     affine_image,
     from_finite,
     from_prog,
@@ -47,9 +49,9 @@ MAX_GROUP_CLASSES = 2**12  # most residue classes one piece group may hold mod i
 MAX_DEMOTED = 2**16  # most points canonicalisation may demote to pairs
 
 
-@dataclass(frozen=True, order=True)
-class Piece:
-    """Order preserving map sending src.value(i) to dst.value(i)."""
+class Piece(NamedTuple):
+    """Order preserving map sending src.value(i) to dst.value(i); a NamedTuple
+    of Progs, so it hashes, compares and sorts in C, as its four ints do."""
 
     src: Prog
     dst: Prog
@@ -100,14 +102,9 @@ def _least_period(classes: list[int], span: int) -> int:
     return cs[word.count(",", 0, (word + word).find(word, 1))] - cs[0]
 
 
-# A piece as the ints (src.first, src.step, dst.first, dst.step); tuples of
-# these sort in the order of their Pieces.
-PieceInts = tuple[int, int, int, int]
-
-
 def _canonicalize(
-    pair_map: dict[int, int], pieces: list[PieceInts]
-) -> tuple[dict[int, int], list[PieceInts]]:
+    pair_map: dict[int, int], pieces: list[Piece]
+) -> tuple[dict[int, int], list[Piece]]:
     """Rewrite (pairs, pieces) as the canonical presentation of the same map.
 
     Pieces are grouped by the affine rule x -> (a*x + c)/b they apply, keyed
@@ -132,26 +129,27 @@ def _canonicalize(
     """
     if not pieces:
         return dict(pair_map), []
+    ints = [src + dst for src, dst in pieces]  # plain (sf, ss, df, ds) tuples unpack fast
 
     def lookup(x: int) -> int | None:
         y = pair_map.get(x)
         if y is not None:
             return y
-        for sf, ss, df, ds in pieces:
+        for sf, ss, df, ds in ints:
             if x >= sf and (x - sf) % ss == 0:
                 return df + (x - sf) // ss * ds
         return None
 
-    groups: dict[tuple[int, int, int], list[PieceInts]] = {}
-    for pc in pieces:
+    groups: dict[tuple[int, int, int], list[tuple]] = {}
+    for pc in ints:
         sf, ss, df, ds = pc
         g = gcd(ss, ds)
         a, b = ds // g, ss // g
         groups.setdefault((a, b, df * b - a * sf), []).append(pc)
 
-    new_pieces: list[PieceInts] = []
+    new_pieces: list[Piece] = []
     # Old piece -> the points it keeps below the canonical starts.
-    early: dict[PieceInts, list[int]] = {}
+    early: dict[tuple, list[int]] = {}
     demoted = 0
     for (a, b, _), grp in groups.items():
         span = lcm(*(ss for _, ss, _, _ in grp))
@@ -179,7 +177,7 @@ def _canonicalize(
                 v -= period
                 y -= step_out
             starts[r] = v
-            new_pieces.append((v, period, y, step_out))
+            new_pieces.append(Piece(Prog(v, period), Prog(y, step_out)))
         for pc in grp:
             sf, ss, _, _ = pc
             stride = lcm(ss, period)
@@ -194,10 +192,10 @@ def _canonicalize(
     new_pieces.sort()
 
     def covered(x: int) -> bool:
-        return any(x >= sf and (x - sf) % ss == 0 for sf, ss, _, _ in new_pieces)
+        return any(x >= sf and (x - sf) % ss == 0 for (sf, ss), _ in new_pieces)
 
     out_pairs = {x: y for x, y in pair_map.items() if not covered(x)}
-    for pc in pieces:
+    for pc in ints:
         sf, ss, df, ds = pc
         for x in early[pc]:
             if not covered(x):
@@ -206,7 +204,7 @@ def _canonicalize(
 
 
 def make_chart(pairs, pieces) -> Chart:
-    given = [(pc.src.first, pc.src.step, pc.dst.first, pc.dst.step) for pc in pieces]
+    pieces = list(pieces)
 
     pair_map: dict[int, int] = {}
     for x, y in pairs:
@@ -217,8 +215,8 @@ def make_chart(pairs, pieces) -> Chart:
             raise InjectivityError(f"point {x} is sent to both {pair_map[x]} and {y}")
         pair_map[x] = y
 
-    _validate(frozenset(pair_map.items()), sorted(given))
-    pair_map, canonical = _canonicalize(pair_map, given)
+    _validate(frozenset(pair_map.items()), pieces)
+    pair_map, canonical = _canonicalize(pair_map, pieces)
     pair_set = frozenset(pair_map.items())
     # The input is injective by now, so a clash here is a fault of
     # `_canonicalize`, not of the caller.
@@ -226,23 +224,20 @@ def make_chart(pairs, pieces) -> Chart:
         _validate(pair_set, canonical)
     except InjectivityError as exc:
         raise InternalError(f"internal error: canonical form is not injective: {exc}") from exc
-    return Chart(
-        pair_set,
-        tuple(Piece(Prog(sf, ss), Prog(df, ds)) for sf, ss, df, ds in canonical),
-        pair_map,
-    )
+    return Chart(pair_set, tuple(canonical), pair_map)
 
 
-def _validate(pairs: frozenset[tuple[int, int]], pieces: list[PieceInts]) -> None:
+def _validate(pairs: frozenset[tuple[int, int]], pieces: list[Piece]) -> None:
     """Raise InjectivityError if two of the pairs and pieces share a source or a
-    destination.  The pieces come sorted, which fixes the clash that is named."""
+    destination.  Pieces are read as sorted int tuples, which fixes the clash named."""
     seen_y: dict[int, int] = {}
     for x, y in pairs:
         if y in seen_y:
             raise InjectivityError(f"points {seen_y[y]} and {x} both map to {y}")
         seen_y[y] = x
-    for i, (sf, ss, df, ds) in enumerate(pieces):
-        for sf2, ss2, df2, ds2 in pieces[i + 1 :]:
+    ints = sorted(src + dst for src, dst in pieces)  # as in `_canonicalize`
+    for i, (sf, ss, df, ds) in enumerate(ints):
+        for sf2, ss2, df2, ds2 in ints[i + 1 :]:
             # Two progressions meet iff their starts agree mod the gcd of their steps.
             if (sf2 - sf) % gcd(ss, ss2) == 0:
                 clash = progs_intersect(Prog(sf, ss), Prog(sf2, ss2))
@@ -422,10 +417,11 @@ def is_partial_identity(c: Chart) -> bool:
 # -- Images of sets ---------------------------------------------------------
 
 
+@lru_cache(maxsize=65536)
 def image_of_set(f: Chart, s: EPSet) -> EPSet:
     """The set {(x)f : x in s and x in dom f}: the pair images, and one
-    `affine_image` per piece, merged by `union_all`."""
-    return _image(s, f.pairs, ((pc.src, pc.dst) for pc in f.pieces))
+    `affine_image` per piece, merged by `union_all`; cached like `stats`."""
+    return _image(s, f.pairs, f.pieces)
 
 
 def preimage_of_set(f: Chart, s: EPSet) -> EPSet:
@@ -449,10 +445,14 @@ def identity_on(s: EPSet) -> Chart:
 
 
 def transposition(u: int, v: int) -> Chart:
+    """The swap of u and v in canonical form: the swap, the fixed points below
+    top = max(u, v) + 1, and the identity from top on; top is mask-guarded."""
     if u == v:
         raise ParameterError("transposition needs two distinct points")
-    rest = NATURALS.difference(from_finite([u, v]))
-    return chart_union(identity_on(rest), make_chart(((u, v), (v, u)), ()))
+    top = max(u, v) + 1
+    _guard(top, 1)
+    fixed = ((x, x) for x in range(top) if x != u and x != v)
+    return make_chart(((u, v), (v, u), *fixed), (Piece(Prog(top, 1), Prog(top, 1)),))
 
 
 def bijection_between(a: EPSet, b: EPSet) -> Chart:

@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import and_, invert, or_
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, Card, fin
 from .errors import ParameterError, ParseError, ResourceGuardError
@@ -43,18 +44,26 @@ from .errors import ParameterError, ParseError, ResourceGuardError
 MAX_BITS = 2**24  # widest residue or low-part mask an EPSet may hold
 
 
-@dataclass(frozen=True, order=True)
-class Prog:
-    """The arithmetic progression {first + step*t : t >= 0}."""
-
+class _ProgFields(NamedTuple):
     first: int
     step: int
 
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ParameterError(f"progression step must be positive, got {self.step}")
-        if self.first < 0:
-            raise ParameterError(f"progression start must be >= 0, got {self.first}")
+
+class Prog(_ProgFields):
+    """The arithmetic progression {first + step*t : t >= 0}.
+
+    A NamedTuple (first, step), so hashing, equality and order are the
+    tuple's, done in C; it equals the plain tuple too: Prog(0, 2) == (0, 2).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, first: int, step: int) -> "Prog":
+        if step <= 0:
+            raise ParameterError(f"progression step must be positive, got {step}")
+        if first < 0:
+            raise ParameterError(f"progression start must be >= 0, got {first}")
+        return tuple.__new__(cls, (first, step))
 
     def __contains__(self, x: int) -> bool:
         return x >= self.first and (x - self.first) % self.step == 0
@@ -89,20 +98,20 @@ def prog_from_parts(residue: int, modulus: int, start_index: int) -> Prog:
 
 
 def progs_intersect(a: Prog, b: Prog) -> Prog | None:
-    """Intersection of two progressions (again a progression, or empty)."""
+    """Intersection of two progressions (again a progression, or empty),
+    by the Chinese remainder theorem: no walk, whatever the steps."""
     g = gcd(a.step, b.step)
     if (b.first - a.first) % g != 0:
         return None
-    step = lcm(a.step, b.step)
-    # Walk a's progression to the first point also on b; the stride of a
-    # inside the solution class is step, so at most step//a.step probes.
-    x = max(a.first, b.first)
-    x = a.first + ((x - a.first + a.step - 1) // a.step) * a.step
-    for _ in range(step // a.step):
-        if x in b:
-            return Prog(x, step)
-        x += a.step
-    return None
+    # x = a.first + a.step*t solves x = b.first (mod b.step) for t = t0
+    # (mod b.step/g); the least such x at or above both starts is the answer.
+    k = b.step // g
+    t0 = (b.first - a.first) // g * pow(a.step // g, -1, k) % k
+    step = a.step * k
+    x = a.first + a.step * t0
+    if x < b.first:
+        x += -(-(b.first - x) // step) * step
+    return Prog(x, step)
 
 
 class Bits(int):

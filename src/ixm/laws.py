@@ -220,12 +220,6 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def default_cases(name: str) -> int:
-    if name not in _SUITES:
-        raise ParameterError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    return _SUITES[name][1]
-
-
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport:
     if name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")

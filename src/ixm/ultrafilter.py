@@ -16,6 +16,12 @@ Two decidable families are provided:
 ``stabilises_filter`` decides whether a permutation maps accepted sets
 to accepted sets, and on failure produces an explicit accepted set with
 rejected image.
+
+Tower primes are tested by deterministic Miller–Rabin with the prime bases
+2 to 41, which is exact below MAX_PRIME_TEST = 3317044064679887385961981
+(about 3.3·10^24; bases 2 to 37 alone are exact only below 3.2·10^23).  A
+candidate at or above it raises ResourceGuardError ("cannot decide whether
+p is prime: it is not below MAX_PRIME_TEST = ...").
 """
 
 from __future__ import annotations
@@ -25,19 +31,38 @@ from math import lcm
 
 from .chart import Chart, dom_set, im_set, image_of_set
 from .epset import EPSet, NATURALS, Prog, from_finite, from_prog
-from .errors import InternalError, ParameterError, ParseError
+from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3317044064679887385961981  # Miller–Rabin on _MR_BASES is exact below this
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller–Rabin: exact for every p below MAX_PRIME_TEST."""
+    if p >= MAX_PRIME_TEST:
+        raise ResourceGuardError(
+            f"cannot decide whether {p} is prime: it is not below MAX_PRIME_TEST = {MAX_PRIME_TEST}"
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -236,6 +236,18 @@ class TestStats:
         assert collapse_of(SHIFT) == ZERO
         assert defect_of(SHIFT) == fin(1)
 
+    def test_image_cache_hit_equals_miss(self):
+        assert image_of_set.cache_info().maxsize == 65536
+        rng = make_rng(43)
+        # Each chart meets several sets, so a key that drops either half shows.
+        charts = [random_chart(rng) for _ in range(20)]
+        cases = [(f, s) for f in charts for s in (random_epset(rng) for _ in range(3))]
+        image_of_set.cache_clear()
+        misses = [image_of_set(f, s) for f, s in cases]
+        hits = [image_of_set(f, s) for f, s in cases]
+        assert image_of_set.cache_info().hits >= len(cases)
+        assert hits == misses == [_image_oracle(f, s) for f, s in cases]
+
     def test_support_of_transposition(self):
         s = stats(transposition(2, 5))
         assert members(s.support) == {2, 5}
@@ -449,6 +461,34 @@ class TestSetImageCost:
         assert image_of_set(evens_x8, s) == residue_class(0, 2**23)
         assert _image_oracle(evens_x8, s) == residue_class(0, 2**23)
         assert preimage_of_set(evens_x8, residue_class(0, 2**23)) == residue_class(0, 2**20)
+
+
+class TestTransposition:
+    def test_matches_the_union_of_swap_and_identity(self):
+        for u in range(40):
+            for v in range(40):
+                if u != v:
+                    rest = identity_on(NATURALS.difference(from_finite([u, v])))
+                    want = chart_union(rest, make_chart(((u, v), (v, u)), ()))
+                    assert transposition(u, v) == want
+
+    def test_guard_message_is_the_mask_limit(self):
+        msg = "threshold 16777217 or period 1 exceeds the 16777216-bit mask limit"
+        with pytest.raises(ResourceGuardError, match=msg):
+            transposition(0, 2**24)
+        with pytest.raises(ParameterError):
+            transposition(3, 3)
+
+
+class TestPieceOrder:
+    def test_pieces_sort_as_their_ints(self):
+        rng = make_rng(47)
+        pieces = [
+            Piece(Prog(rng.randrange(6), rng.randrange(1, 4)), Prog(rng.randrange(6), rng.randrange(1, 4)))
+            for _ in range(300)
+        ]
+        ints = sorted((pc.src.first, pc.src.step, pc.dst.first, pc.dst.step) for pc in pieces)
+        assert [(s.first, s.step, d.first, d.step) for s, d in sorted(pieces)] == ints
 
 
 class TestChartUnion:

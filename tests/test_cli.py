@@ -45,6 +45,30 @@ def test_pieces_far_apart_canonicalise_quickly(capsys):
     assert capsys.readouterr().out == text + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # Two pieces whose steps are coprime primes near 10**9.
+        (
+            [
+                "chart",
+                "compose",
+                "chart { piece (0 mod 1 from 0) -> (5 mod 1000000007 from 0) }",
+                "chart { piece (7 mod 1000000009 from 0) -> (0 mod 1 from 0) }",
+            ],
+            "chart { piece (1000000008 mod 1000000009 from 0) -> (1000000006 mod 1000000007 from 0); }\n",
+        ),
+        # A tower prime near 10**18.
+        (["uf", "min", "uf tower [1000000000000000003^1=1]"], "aleph0\n"),
+    ],
+)
+def test_huge_steps_and_primes_answer_quickly(argv, out, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == out
+
+
 def _two_class_chart(s: int, t: int) -> str:
     # Canonicalises to lcm(s, t) / s + lcm(s, t) / t - 2 pieces of one step.
     return (

@@ -1,6 +1,8 @@
 """Eventually periodic subsets of the naturals: canonical form and algebra."""
 
 import functools
+import itertools
+import time
 from math import lcm
 
 import pytest
@@ -41,6 +43,14 @@ def members(s: EPSet, hi: int = 120) -> set:
     return {x for x in range(hi) if x in s}
 
 
+def _walk_intersect(fa, sa, fb, sb):
+    """The first common point, found by walking a for one joint period."""
+    step = lcm(sa, sb)
+    x = fa + -(-(max(fa, fb) - fa) // sa) * sa
+    first = next((y for y in range(x, x + step, sa) if (y - fb) % sb == 0), None)
+    return None if first is None else Prog(first, step)
+
+
 class TestProg:
     def test_contains_and_value(self):
         p = Prog(3, 4)
@@ -62,10 +72,16 @@ class TestProg:
         assert all(q.step == 9 for q in parts)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="progression step must be positive, got 0"):
             Prog(0, 0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="progression start must be >= 0, got -1"):
             Prog(-1, 2)
+
+    def test_is_a_named_tuple(self):
+        p = Prog(0, 2)
+        assert p == (0, 2) and hash(p) == hash((0, 2))
+        assert p._fields == ("first", "step")
+        assert sorted([Prog(1, 2), Prog(0, 3), Prog(0, 2)]) == [(0, 2), (0, 3), (1, 2)]
 
     def test_render_and_parts_round_trip(self):
         p = Prog(first=2, step=2)
@@ -89,6 +105,23 @@ class TestProg:
                 assert window == set()
             else:
                 assert {x for x in range(200) if x in c} == window
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 60), st.integers(0, 200), st.integers(1, 60))
+    def test_intersect_matches_a_walk(self, fa, sa, fb, sb):
+        assert progs_intersect(Prog(fa, sa), Prog(fb, sb)) == _walk_intersect(fa, sa, fb, sb)
+
+    def test_intersect_matches_a_walk_on_a_small_grid(self):
+        for fa, sa, fb, sb in itertools.product(range(13), range(1, 7), range(13), range(1, 7)):
+            assert progs_intersect(Prog(fa, sa), Prog(fb, sb)) == _walk_intersect(fa, sa, fb, sb)
+
+    def test_intersect_of_huge_coprime_steps_is_immediate(self):
+        start = time.perf_counter()
+        c = progs_intersect(Prog(5, 1000000007), Prog(7, 1000000009))
+        assert time.perf_counter() - start < 0.1
+        assert c.step == 1000000007 * 1000000009
+        assert c.first in Prog(5, 1000000007) and c.first in Prog(7, 1000000009)
+        assert c.first < c.step
 
 
 class TestCanonicalForm:

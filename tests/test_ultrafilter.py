@@ -12,12 +12,14 @@ from ixm.chart import (
     transposition,
 )
 from ixm.epset import NATURALS, Prog, from_finite, residue_class
-from ixm.errors import ParameterError, ParseError
+from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.sampling import make_rng, random_epset, random_permutation, random_tower
 from ixm.ultrafilter import (
+    MAX_PRIME_TEST,
     ZERO_TOWER,
     Principal,
     ResidueTower,
+    _is_prime,
     is_principal,
     make_tower,
     parse_uf,
@@ -80,6 +82,22 @@ class TestTowerConstruction:
             ResidueTower(((3, 1, 5),))  # residue out of range
         with pytest.raises(ParameterError):
             ResidueTower(((3, 1, 1), (3, 2, 1)))  # prime listed twice
+
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [p for p in range(10**5) if _is_prime(p)] == [p for p in range(10**5) if trial(p)]
+
+    def test_primality_of_large_candidates(self):
+        assert _is_prime(10**18 + 3) and _is_prime(2**61 - 1)
+        # A strong pseudoprime to every prime base up to 37.
+        assert not _is_prime(318665857834031151167461)
+        assert not _is_prime((10**9 + 7) * (10**9 + 9))
+        with pytest.raises(ResourceGuardError, match="MAX_PRIME_TEST"):
+            _is_prime(MAX_PRIME_TEST)
+        with pytest.raises(ResourceGuardError):
+            make_tower([(10**30 + 57, 1, 1)])
 
     def test_make_tower_merges_compatible_entries(self):
         t = make_tower([(3, 1, 2), (3, 2, 2)])
