@@ -36,7 +36,6 @@ from .epset import (
     _guard,
     affine_image,
     from_finite,
-    from_prog,
     progs_intersect,
     prog_from_parts,
     render_prog,
@@ -116,16 +115,21 @@ def _canonicalize(
     start become plain pairs.  The output depends only on the map, not on
     its presentation; its pieces come sorted.
 
-    Every walk is bounded by its own residue class: the walk down for a new
-    piece starts at the latest first point of the old pieces in its class,
-    and an old piece is walked only up to the canonical start of each class
-    it meets, past which its points lie on the new piece.  For given steps,
-    the cost is linear in the pieces, the pairs and the demoted points, and
-    does not depend on how far apart the pieces start.  Both sizes that the
-    input does not bound are counted from the steps and starts before
-    anything is allocated: ResourceGuardError refuses a group with more
-    than MAX_GROUP_CLASSES classes mod the lcm of its steps, and more than
-    MAX_DEMOTED demoted points in all.
+    A group of one piece keeps its steps and demotes nothing: it walks down
+    from its own first point, and keeps the input piece if the start stays.
+    In a larger group, the walk for a new piece starts at the latest first
+    point of the old pieces in its class, and an old piece is walked only up
+    to the canonical start of each class it meets.  The walks are the only
+    source of covered pairs: from a walk's first point on, its class lies
+    on old pieces, which no pair of the injective input meets, and demoted
+    points lie below their class's start.  So the output pairs are the input
+    pairs less the points walked onto, then the demoted points.  For given
+    steps, the cost is linear in the pieces, the pairs and the demoted
+    points, and does not depend on how far apart the pieces start.  Both
+    sizes that the input does not bound are counted from the steps and
+    starts before anything is allocated: ResourceGuardError refuses a group
+    with more than MAX_GROUP_CLASSES classes mod the lcm of its steps, and
+    more than MAX_DEMOTED demoted points in all.
     """
     if not pieces:
         return dict(pair_map), []
@@ -140,18 +144,28 @@ def _canonicalize(
                 return df + (x - sf) // ss * ds
         return None
 
-    groups: dict[tuple[int, int, int], list[tuple]] = {}
-    for pc in ints:
-        sf, ss, df, ds = pc
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (sf, ss, df, ds) in enumerate(ints):
         g = gcd(ss, ds)
         a, b = ds // g, ss // g
-        groups.setdefault((a, b, df * b - a * sf), []).append(pc)
+        groups.setdefault((a, b, df * b - a * sf), []).append(i)
 
+    out_pairs = dict(pair_map)
     new_pieces: list[Piece] = []
     # Old piece -> the points it keeps below the canonical starts.
     early: dict[tuple, list[int]] = {}
     demoted = 0
-    for (a, b, _), grp in groups.items():
+    for (a, b, _), idx in groups.items():
+        if len(idx) == 1:
+            sf, ss, df, ds = ints[idx[0]]
+            v, y = sf, df
+            while v - ss >= 0 and y - ds >= 0 and lookup(v - ss) == y - ds:
+                v -= ss
+                y -= ds
+                out_pairs.pop(v, None)
+            new_pieces.append(pieces[idx[0]] if v == sf else Piece(Prog(v, ss), Prog(y, ds)))
+            continue
+        grp = [ints[i] for i in idx]
         span = lcm(*(ss for _, ss, _, _ in grp))
         classes = sum(span // ss for _, ss, _, _ in grp)
         if classes > MAX_GROUP_CLASSES:
@@ -161,7 +175,7 @@ def _canonicalize(
             )
         # Each class mod span belongs to one old piece; keep its first point.
         owner_first = {c % span: sf for sf, ss, _, _ in grp for c in range(sf, sf + span, ss)}
-        period = span if len(grp) == 1 else _least_period(list(owner_first), span)
+        period = _least_period(list(owner_first), span)
         step_out, rest = divmod(a * period, b)
         if rest:  # pragma: no cover - impossible for valid input
             raise InternalError("internal error: piece group with fractional output step")
@@ -176,6 +190,7 @@ def _canonicalize(
             while v - period >= 0 and y - step_out >= 0 and lookup(v - period) == y - step_out:
                 v -= period
                 y -= step_out
+                out_pairs.pop(v, None)
             starts[r] = v
             new_pieces.append(Piece(Prog(v, period), Prog(y, step_out)))
         for pc in grp:
@@ -190,16 +205,10 @@ def _canonicalize(
             early[pc] = sorted(x for run in runs for x in run)
 
     new_pieces.sort()
-
-    def covered(x: int) -> bool:
-        return any(x >= sf and (x - sf) % ss == 0 for (sf, ss), _ in new_pieces)
-
-    out_pairs = {x: y for x, y in pair_map.items() if not covered(x)}
     for pc in ints:
         sf, ss, df, ds = pc
-        for x in early[pc]:
-            if not covered(x):
-                out_pairs[x] = df + (x - sf) // ss * ds
+        for x in early.get(pc, ()):
+            out_pairs[x] = df + (x - sf) // ss * ds
     return out_pairs, new_pieces
 
 
@@ -215,16 +224,19 @@ def make_chart(pairs, pieces) -> Chart:
             raise InjectivityError(f"point {x} is sent to both {pair_map[x]} and {y}")
         pair_map[x] = y
 
-    _validate(frozenset(pair_map.items()), pieces)
-    pair_map, canonical = _canonicalize(pair_map, pieces)
     pair_set = frozenset(pair_map.items())
-    # The input is injective by now, so a clash here is a fault of
-    # `_canonicalize`, not of the caller.
-    try:
-        _validate(pair_set, canonical)
-    except InjectivityError as exc:
-        raise InternalError(f"internal error: canonical form is not injective: {exc}") from exc
-    return Chart(pair_set, tuple(canonical), pair_map)
+    _validate(pair_set, pieces)
+    out_map, canonical = _canonicalize(pair_map, pieces)
+    # Input already canonical (up to piece order) was validated above, so
+    # the postcondition runs only if canonicalisation changed something; a
+    # clash there is a fault of `_canonicalize`, not of the caller.
+    if out_map != pair_map or canonical != sorted(pieces):
+        pair_set = frozenset(out_map.items())
+        try:
+            _validate(pair_set, canonical)
+        except InjectivityError as exc:
+            raise InternalError(f"internal error: canonical form is not injective: {exc}") from exc
+    return Chart(pair_set, tuple(canonical), out_map)
 
 
 def _validate(pairs: frozenset[tuple[int, int]], pieces: list[Piece]) -> None:
@@ -263,9 +275,13 @@ def apply_chart(c: Chart, x: int) -> int | None:
     y = c.pair_map.get(x)
     if y is not None:
         return y
+    # Indexing the tuples is cheaper than `in`, `Piece.apply` or unpacking.
     for pc in c.pieces:
-        if x in pc.src:
-            return pc.apply(x)
+        src = pc[0]
+        d = x - src[0]
+        if d >= 0 and d % src[1] == 0:
+            dst = pc[1]
+            return dst[0] + d // src[1] * dst[1]
     return None
 
 
@@ -369,24 +385,21 @@ def stats(c: Chart) -> ChartStats:
 
 
 def _support(c: Chart) -> EPSet:
-    """Moved points of a permutation chart."""
-    moved = [from_finite(x for x, y in c.pairs if x != y)]
-    for pc in c.pieces:
-        if pc.is_identity():
-            continue
-        src = from_prog(pc.src)
-        if pc.src.step == pc.dst.step:
-            # Pure shift: every point moves (starts differ, else identity).
-            moved.append(src)
-        else:
-            # Affine with distinct slopes fixes at most one point.
+    """Moved points of a permutation chart: the moved pairs and the sources
+    of non-identity pieces, united per step as in `dom_set`, less the one
+    point an affine piece may fix (pieces are disjoint, so one subtraction)."""
+    moving = [pc for pc in c.pieces if not pc.is_identity()]
+    fixed = []
+    for pc in moving:
+        if pc.src.step != pc.dst.step:
             num = pc.dst.first * pc.src.step - pc.src.first * pc.dst.step
             den = pc.src.step - pc.dst.step
             if num % den == 0 and (x := num // den) in pc.src and pc.apply(x) == x:
-                moved.append(src.difference(from_finite([x])))
-            else:
-                moved.append(src)
-    return union_all(moved)
+                fixed.append(x)
+    parts = unions_by_step(pc.src for pc in moving)
+    parts.append(from_finite(x for x, y in c.pairs if x != y))
+    moved = union_all(parts)
+    return moved.difference(from_finite(fixed)) if fixed else moved
 
 
 def rank_of(c: Chart) -> Card:

@@ -7,7 +7,7 @@ stats/apply), ``class`` (member/witness/dual/admissible/exclude), ``uf``
 ``conditions`` (candidate-family audit).
 
 Exit codes: 0 success, 1 check failures, 2 usage or parse errors,
-3 resource guard, 4 internal error.
+3 resource guard, 4 internal error, 141 reader closed standard output early.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 
 from .cardinal import render_card
@@ -41,6 +42,7 @@ from .classes import (
 )
 from .epset import parse_epset, render_epset
 from .errors import (
+    BROKEN_PIPE_EXIT,
     InternalError,
     IxmError,
     ParameterError,
@@ -361,7 +363,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`ixm ... | head`).  As the `signal`
+        # docs advise, point stdout at devnull so the flush at exit is
+        # quiet, and print no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except ResourceGuardError as e:
         print(f"resource guard: {e}", file=sys.stderr)
         return 3

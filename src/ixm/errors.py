@@ -2,8 +2,13 @@
 
 The CLI maps these onto process exit codes: parse and usage problems exit
 with 2, resource guards with 3, internal faults (InternalError) with 4, and
-ordinary suite failures and every other error with 1.
+ordinary suite failures and every other error with 1.  A reader that closes
+standard output early (`ixm ... | head`) ends the run quietly with
+BROKEN_PIPE_EXIT, 128 + SIGPIPE, the status a shell reports for a process
+that SIGPIPE killed, so it reads as neither success nor a suite failure.
 """
+
+BROKEN_PIPE_EXIT = 141
 
 
 class IxmError(Exception):

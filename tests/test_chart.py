@@ -61,7 +61,7 @@ from ixm.errors import (
     ParseError,
     ResourceGuardError,
 )
-from ixm.sampling import make_rng, random_chart, random_epset, random_mixed
+from ixm.sampling import make_rng, random_chart, random_epset, random_mixed, random_permutation
 
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
@@ -151,6 +151,17 @@ class TestApply:
     def test_empty_and_identity(self):
         assert apply_chart(EMPTY_CHART, 5) is None
         assert apply_chart(IDENTITY_CHART, 5) == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_a_pointwise_oracle(self, seed):
+        c = random_mixed(make_rng(seed))
+        pairs = dict(c.pairs)
+        for x in range(300):
+            want = pairs.get(x)
+            if want is None:
+                want = next((pc.apply(x) for pc in c.pieces if x in pc.src), None)
+            assert apply_chart(c, x) == want, (render_chart(c), x)
 
 
 class TestCompose:
@@ -265,6 +276,31 @@ class TestStats:
         sup = stats(f).support
         assert 0 not in sup and 2 in sup
 
+    def test_support_matches_the_per_piece_union(self):
+        rng = make_rng(47)
+        charts = [random_permutation(rng) for _ in range(300)]
+        charts += [
+            SHIFT,
+            DOUBLE,
+            transposition(0, 9),
+            # Shifts and affine pieces, some sharing a source step, with
+            # and without a fixed point on the piece (0, 8 and 21 are
+            # fixed; 57 solves the rule but is not a source).
+            make_chart(
+                [(1, 1), (3, 5)],
+                (
+                    Piece(Prog(0, 4), Prog(0, 8)),
+                    Piece(Prog(2, 4), Prog(6, 4)),
+                    Piece(Prog(5, 2), Prog(9, 2)),
+                ),
+            ),
+            make_chart((), (Piece(Prog(4, 1), Prog(0, 2)),)),
+            make_chart((), (Piece(Prog(11, 2), Prog(1, 4)), Piece(Prog(30, 2), Prog(3, 4)))),
+            make_chart((), (Piece(Prog(6, 3), Prog(0, 1)),)),
+        ]
+        for c in charts:
+            assert chart_module._support(c) == _support_oracle(c), render_chart(c)
+
     def test_predicates(self):
         assert is_permutation(IDENTITY_CHART)
         assert not is_permutation(DOUBLE)
@@ -272,6 +308,23 @@ class TestStats:
         assert not is_total(ID_EVENS)
         assert is_partial_identity(ID_EVENS) and is_partial_identity(EMPTY_CHART)
         assert not is_partial_identity(SHIFT)
+
+
+def _support_oracle(c):
+    """The moved points as one set per piece: the source of each shift, the
+    source less its one fixed point for an affine piece."""
+    moved = [from_finite(x for x, y in c.pairs if x != y)]
+    for pc in c.pieces:
+        if pc.is_identity():
+            continue
+        src = from_prog(pc.src)
+        if pc.src.step != pc.dst.step:
+            num = pc.dst.first * pc.src.step - pc.src.first * pc.dst.step
+            den = pc.src.step - pc.dst.step
+            if num % den == 0 and (x := num // den) in pc.src and pc.apply(x) == x:
+                src = src.difference(from_finite([x]))
+        moved.append(src)
+    return union_all(moved)
 
 
 class TestSetImages:
@@ -844,3 +897,187 @@ class TestCanonicalize:
             else:
                 with pytest.raises(InjectivityError, match=f"^piece {where} overlap at {meet.first}$"):
                     make_chart((), given_pieces)
+
+
+# -- The canonicaliser against the general one it replaced --------------------
+
+
+def _canonicalize_oracle(pair_map, pieces):
+    """The canonicaliser before its single-piece path: every group takes the
+    general path, and a new piece's covered pairs are found by testing every
+    pair and demoted point against every new piece."""
+    if not pieces:
+        return dict(pair_map), []
+    ints = [src + dst for src, dst in pieces]
+
+    def lookup(x):
+        y = pair_map.get(x)
+        if y is not None:
+            return y
+        for sf, ss, df, ds in ints:
+            if x >= sf and (x - sf) % ss == 0:
+                return df + (x - sf) // ss * ds
+        return None
+
+    groups = {}
+    for pc in ints:
+        sf, ss, df, ds = pc
+        g = gcd(ss, ds)
+        a, b = ds // g, ss // g
+        groups.setdefault((a, b, df * b - a * sf), []).append(pc)
+
+    new_pieces = []
+    early = {}
+    demoted = 0
+    for (a, b, _), grp in groups.items():
+        span = lcm(*(ss for _, ss, _, _ in grp))
+        classes = sum(span // ss for _, ss, _, _ in grp)
+        if classes > chart_module.MAX_GROUP_CLASSES:
+            raise ResourceGuardError("too many classes")
+        owner_first = {c % span: sf for sf, ss, _, _ in grp for c in range(sf, sf + span, ss)}
+        period = span if len(grp) == 1 else chart_module._least_period(list(owner_first), span)
+        step_out, rest = divmod(a * period, b)
+        assert not rest
+        tops = {}
+        for c, first in owner_first.items():
+            tops[c % period] = max(tops.get(c % period, 0), first)
+        starts = {}
+        for r, top in tops.items():
+            v = r + -(-(top - r) // period) * period
+            y = lookup(v)
+            while v - period >= 0 and y - step_out >= 0 and lookup(v - period) == y - step_out:
+                v -= period
+                y -= step_out
+            starts[r] = v
+            new_pieces.append(Piece(Prog(v, period), Prog(y, step_out)))
+        for pc in grp:
+            sf, ss, _, _ = pc
+            stride = lcm(ss, period)
+            runs = [range(x0, starts[x0 % period], stride) for x0 in range(sf, sf + stride, ss)]
+            demoted += sum(map(len, runs))
+            if demoted > chart_module.MAX_DEMOTED:
+                raise ResourceGuardError("too many demoted points")
+            early[pc] = sorted(x for run in runs for x in run)
+
+    new_pieces.sort()
+
+    def covered(x):
+        return any(x >= sf and (x - sf) % ss == 0 for (sf, ss), _ in new_pieces)
+
+    out_pairs = {x: y for x, y in pair_map.items() if not covered(x)}
+    for pc in ints:
+        sf, ss, df, ds = pc
+        for x in early[pc]:
+            if not covered(x):
+                out_pairs[x] = df + (x - sf) // ss * ds
+    return out_pairs, new_pieces
+
+
+@st.composite
+def presentations(draw):
+    """A valid (pairs, pieces) input, canonical or not.
+
+    Every point x goes to k*x + h for a tag h < k, so distinct points never
+    share an image.  Each used class c mod m carries one tag, its rule
+    group, and is cut into 1 to 3 interleaved pieces whose starts may lag
+    behind the class's start; pieces of one tag thus extend each other
+    downward and merge, and with k > 1 some groups hold one piece.  Pairs
+    off the pieces take their class's tag (extending a piece downward) or
+    any tag.  Half the draws are inverted, for slopes 1/k, and the pieces
+    come in any order.
+    """
+    k = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    tags, pieces = {}, []
+    for c in range(m):
+        tag = draw(st.sampled_from([None, *range(k)]))
+        if tag is None:
+            continue
+        tags[c] = tag
+        start = c + m * draw(st.integers(0, 6))
+        parts = draw(st.integers(1, 3))
+        for i in range(parts):
+            first = start + i * m + m * parts * draw(st.integers(0, 2))
+            pieces.append(_rule_piece(first, m * parts, k, tag))
+    # Some points just below each piece's start, then some anywhere.
+    below = [pc.src.first - pc.src.step * j for pc in pieces for j in range(1, draw(st.integers(1, 3)))]
+    pairs = {}
+    for x in below + draw(st.lists(st.integers(0, 16 * m), max_size=10)):
+        if x < 0 or x in pairs or any(x in pc.src for pc in pieces):
+            continue
+        follows = x % m in tags and draw(st.booleans())
+        pairs[x] = k * x + (tags[x % m] if follows else draw(st.integers(0, k - 1)))
+    pairs = list(pairs.items())
+    pieces = draw(st.permutations(pieces))
+    return _swapped(pairs, pieces) if draw(st.booleans()) else (pairs, pieces)
+
+
+def _assert_same_canonical_form(got, pair_map, pieces):
+    got_pairs, got_pieces = got
+    want_pairs, want_pieces = _canonicalize_oracle(pair_map, pieces)
+    assert list(got_pairs.items()) == list(want_pairs.items())  # the same order, too
+    assert got_pieces == want_pieces
+    assert all(type(pc) is Piece for pc in got_pieces)
+
+
+class TestCanonicalizeAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(presentations())
+    def test_equals_the_general_canonicaliser(self, drawn):
+        pairs, pieces = drawn
+        pair_map = dict(pairs)
+        chart_module._validate(frozenset(pair_map.items()), pieces)
+        _assert_same_canonical_form(chart_module._canonicalize(pair_map, pieces), pair_map, pieces)
+
+    @settings(max_examples=80, deadline=None)
+    @given(chart_models())
+    def test_equals_the_general_canonicaliser_on_models(self, drawn):
+        for pairs, pieces in (*drawn[:2], *(_swapped(*p) for p in drawn[:2])):
+            pair_map = dict(pairs)
+            _assert_same_canonical_form(chart_module._canonicalize(pair_map, pieces), pair_map, pieces)
+
+    def test_equals_the_general_canonicaliser_on_library_inputs(self, monkeypatch):
+        real = chart_module._canonicalize
+        seen = []
+
+        def checked(pair_map, pieces):
+            got = real(pair_map, pieces)
+            _assert_same_canonical_form(got, pair_map, pieces)
+            seen.append(1)
+            return got
+
+        monkeypatch.setattr(chart_module, "_canonicalize", checked)
+        rng = make_rng(71)
+        for _ in range(150):
+            f, g = random_mixed(rng), random_mixed(rng)
+            compose(f, g)
+            invert(f)
+        assert len(seen) >= 300
+
+    def test_postcondition_runs_only_when_the_form_changes(self, monkeypatch):
+        real = chart_module._validate
+        calls = []
+
+        def counting(pairs, pieces):
+            calls.append(1)
+            return real(pairs, pieces)
+
+        monkeypatch.setattr(chart_module, "_validate", counting)
+
+        def validations(pairs, pieces):
+            calls.clear()
+            make_chart(pairs, pieces)
+            return len(calls)
+
+        canonical = make_chart(
+            [(0, 7), (2, 3)], (Piece(Prog(1, 2), Prog(2, 2)), Piece(Prog(4, 4), Prog(5, 4)))
+        )
+        assert len(canonical.pieces) == 3 and len(canonical.pairs) == 2
+        assert validations(canonical.pairs, canonical.pieces) == 1
+        assert validations(canonical.pairs, canonical.pieces[::-1]) == 1
+        assert validations((), DOUBLE.pieces) == 1
+        assert validations((), ()) == 1
+        # Merged pieces with no pair, an absorbed pair, demoted points.
+        assert validations((), (_ident(0, 2), _ident(1, 2))) == 2
+        assert validations([(0, 0)], (_ident(1, 1),)) == 2
+        assert validations((), (_ident(0, 2), _ident(103, 2))) == 2

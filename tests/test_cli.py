@@ -14,7 +14,7 @@ import ixm
 import ixm.cli
 from ixm.cli import main
 from ixm.epset import Prog, from_prog, render_epset
-from ixm.errors import InternalError, ParameterError
+from ixm.errors import BROKEN_PIPE_EXIT, InternalError, ParameterError
 
 SRC = str(Path(ixm.__file__).resolve().parent.parent)
 
@@ -195,3 +195,28 @@ def test_reused_parser_matches_a_fresh_process(capsys, monkeypatch):
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out, err) == _fresh(argv, env), argv
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly():
+    # `ixm chart stats ... | head -c 10`: the read end is closed before the
+    # first write, so every write fails as it does once `head` has exited.
+    # Whatever is written to stdout after `main` returns (the flush at exit,
+    # here one more line) must be quiet too.
+    after = "import sys\nfrom ixm.cli import main\ncode = main(sys.argv[1:])\nprint(code)\nsys.exit(code)\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for head in (["-m", "ixm"], ["-c", after]):
+            for chart in ("chart { pair 1 -> 2; }", _two_class_chart(1022, 1026)):
+                done = subprocess.run(
+                    [sys.executable, *head, "chart", "stats", chart],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    timeout=60,
+                )
+                assert done.stderr == b"", (head, chart)
+                assert done.returncode == BROKEN_PIPE_EXIT == 141
+    finally:
+        os.close(write_end)
