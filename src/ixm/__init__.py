@@ -1,148 +1,17 @@
 """Workbench for partial bijections of the natural numbers.
 
-The library models charts (partial injective maps of the naturals whose
-domain, image and graph are eventually periodic), the candidate maximal
-classes of the chart monoid cut out by collapse/defect thresholds,
-finite-set stabilisers, ultrafilter oracles and finite partition
-actions, plus an enumerated finite model, seeded law suites and a
-command-line front end.
+Each layer is a module, from the bottom up: ``cardinal`` (the cardinals
+statistics take), ``epset`` (eventually periodic sets), ``chart`` (charts,
+their canonical form and images of sets), ``partition_action`` (finite
+partitions and the induced block relation), ``ultrafilter`` (ultrafilter
+oracles), ``classes`` (the candidate maximal classes S/P/V/A and their
+separating witnesses), ``finite_model`` (the enumerated finite model),
+``sampling`` and ``laws`` (seeded generators and law suites) and ``cli``
+(the command line); ``errors`` holds the exceptions.  Import from those
+modules: the root re-exports only the text forms ``ixmbench`` reads.
 """
 
-from .cardinal import ALEPH0, ALEPH1, Card, ONE, ZERO, card_add, card_cmp, fin, parse_card, render_card
-from .chart import (
-    Chart,
-    ChartStats,
-    EMPTY_CHART,
-    IDENTITY_CHART,
-    Piece,
-    apply_chart,
-    bijection_between,
-    chart_union,
-    collapse_of,
-    compose,
-    defect_of,
-    dom_set,
-    extend_to_bijection,
-    extend_to_permutation,
-    identity_on,
-    im_set,
-    image_of_set,
-    invert,
-    is_partial_identity,
-    is_permutation,
-    is_total,
-    make_chart,
-    parse_chart,
-    preimage_of_set,
-    rank_of,
-    render_chart,
-    restrict,
-    sandwich_factorize,
-    stats,
-    transposition,
-)
-from .classes import (
-    ClassId,
-    admissibility,
-    dual_class,
-    excluding_maximal,
-    in_F_ideal,
-    in_class,
-    in_class_v_alt,
-    in_stabiliser,
-    parse_class,
-    render_class,
-    separating_witness,
-)
-from .epset import (
-    EMPTY,
-    EPSet,
-    NATURALS,
-    Prog,
-    from_finite,
-    from_prog,
-    make_epset,
-    parse_epset,
-    progs_intersect,
-    render_epset,
-    residue_class,
-    union_all,
-)
-from .errors import (
-    InjectivityError,
-    IxmError,
-    ParameterError,
-    ParseError,
-    ResourceGuardError,
-    UnsupportedWitnessError,
-)
-from .finite_model import (
-    LabelledSet,
-    SearchResult,
-    all_fcharts,
-    completeness_search,
-    fchart_closure,
-    fchart_collapse,
-    fchart_compose,
-    fchart_defect,
-    fchart_dom,
-    fchart_im,
-    fchart_invert,
-    fchart_rank,
-    injective_mutt_membership,
-    is_closed,
-    is_inverse_closed,
-    is_maximal,
-    minimal_extension,
-    parse_fchart,
-    partial_identities,
-    predicted_finite_maximals,
-    render_fchart,
-    strict_ideal,
-    sym_group,
-)
-from .laws import ConditionReport, SuiteReport, check_conditions, run_suite, suite_names
-from .partition_action import (
-    BinRel,
-    FactoredChart,
-    FinPartition,
-    block_evader,
-    block_shuffle,
-    block_stabilises,
-    almost_block_stabilises,
-    canonical_rel,
-    defect_spreader,
-    full_relation_word,
-    make_partition,
-    mod_partition,
-    nxn_closure_check,
-    padding_perm,
-    parse_partition,
-    parse_rel,
-    perm_rel,
-    rel_compose,
-    rel_converse,
-    rel_dom_full,
-    rel_from_pairs,
-    rel_full,
-    rel_identity,
-    rel_im_full,
-    rel_is_perm,
-    render_partition,
-    render_rel,
-    rho_of,
-)
-from .ultrafilter import (
-    Principal,
-    ResidueTower,
-    ZERO_TOWER,
-    is_principal,
-    make_tower,
-    parse_uf,
-    render_uf,
-    stabilises_filter,
-    uf_contains,
-    uf_min,
-)
+from .cardinal import render_card
+from .epset import parse_epset, render_epset
 
 __version__ = "0.1.0"

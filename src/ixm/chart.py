@@ -32,7 +32,6 @@ from .epset import (
     EPSet,
     NATURALS,
     Prog,
-    ParseError,
     _guard,
     affine_image,
     from_finite,
@@ -42,7 +41,7 @@ from .epset import (
     union_all,
     unions_by_step,
 )
-from .errors import InjectivityError, InternalError, ParameterError, ResourceGuardError
+from .errors import InjectivityError, InternalError, ParameterError, ParseError, ResourceGuardError
 
 MAX_GROUP_CLASSES = 2**12  # most residue classes one piece group may hold mod its span
 MAX_DEMOTED = 2**16  # most points canonicalisation may demote to pairs
@@ -68,15 +67,6 @@ class Chart:
     pieces: tuple[Piece, ...]
     # Index of `pairs` for point lookup; derived, so not part of identity.
     pair_map: dict[int, int] = field(compare=False, hash=False, repr=False)
-
-    def __mul__(self, other: "Chart") -> "Chart":
-        return compose(self, other)
-
-    def inverse(self) -> "Chart":
-        return invert(self)
-
-    def apply(self, x: int) -> int | None:
-        return apply_chart(self, x)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Chart({render_chart(self)!r})"
@@ -402,18 +392,6 @@ def _support(c: Chart) -> EPSet:
     return moved.difference(from_finite(fixed)) if fixed else moved
 
 
-def rank_of(c: Chart) -> Card:
-    return stats(c).rank
-
-
-def collapse_of(c: Chart) -> Card:
-    return stats(c).collapse
-
-
-def defect_of(c: Chart) -> Card:
-    return stats(c).defect
-
-
 def is_permutation(c: Chart) -> bool:
     st = stats(c)
     return st.dom == NATURALS and st.im == NATURALS
@@ -524,11 +502,6 @@ def extend_to_bijection(p: Chart, src: EPSet, dst: EPSet) -> Chart:
     if missing_dom.is_empty():
         return p
     return chart_union(p, bijection_between(missing_dom, missing_im))
-
-
-def extend_to_permutation(p: Chart, y: EPSet) -> Chart:
-    """Extend a partial bijection of y to a permutation of y."""
-    return extend_to_bijection(p, y, y)
 
 
 def sandwich_factorize(h: Chart, f: Chart, g: Chart, y: EPSet) -> Chart:

@@ -24,6 +24,7 @@ from .cardinal import ALEPH0, ALEPH1, Card, card_cmp, fin, parse_card, render_ca
 from .chart import (
     Chart,
     ChartStats,
+    Piece,
     bijection_between,
     chart_union,
     identity_on,
@@ -228,11 +229,8 @@ def _quantified_stab(uf, f: Chart) -> bool:
     if is_principal(uf):
         candidates.append(from_finite([uf.point]))
     else:
-        base = 2
-        for p, a, _ in uf.choices:
-            base *= p**a
         for j in (1, 2, 3, 4):
-            m = base * j
+            m = uf.base_modulus * j
             candidates.append(residue_class(uf.residue_at(m), m))
     for piece in f.pieces:
         src = from_prog(piece.src)
@@ -345,54 +343,36 @@ def _unsupported(c1: ClassId, c2: ClassId, reason: str = ""):
 
 
 # Stock charts.
-
-
-def _piece(a, q, b, q2):
-    from .chart import Piece
-
-    return Piece(Prog(a, q), Prog(b, q2))
-
-
-def _double() -> Chart:
-    return make_chart((), (_piece(0, 1, 0, 2),))
-
-
-def _halve() -> Chart:
-    return invert(_double())
-
-
-def _shift(k: int) -> Chart:
-    return make_chart((), (_piece(0, 1, k, 1),))
-
-
-def _punctured_double() -> Chart:
-    """Undefined at one point, missing infinitely many."""
-    return make_chart((), (_piece(1, 1, 2, 2),))
+DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
+HALVE = invert(DOUBLE)
+SHIFT = make_chart((), (Piece(Prog(0, 1), Prog(1, 1)),))
+# Undefined at one point, missing infinitely many.
+_PUNCTURED_DOUBLE = make_chart((), (Piece(Prog(1, 1), Prog(2, 2)),))
 
 
 def _w_s_s(c1: ClassId, c2: ClassId) -> Chart:
     v1, v2, mu, nu = c1.variant, c2.variant, c1.mu, c2.mu
     if v1 == "plain" and v2 == "inverse":
-        return _halve()
+        return HALVE
     if v1 == "inverse" and v2 == "plain":
-        return _double()
+        return DOUBLE
     if v1 in ("plain", "meet") and v2 == "plain":
         if mu == nu:
             _unsupported(c1, c2, "the first class is contained in the second")
         if card_cmp(mu, nu) > 0:
-            return _shift(1)
-        return _punctured_double()
+            return SHIFT
+        return _PUNCTURED_DOUBLE
     if v1 == "inverse" and v2 == "inverse":
         if mu == nu:
             _unsupported(c1, c2, "the first class is contained in the second")
         if card_cmp(mu, nu) > 0:
-            return invert(_shift(1))
-        return invert(_punctured_double())
+            return invert(SHIFT)
+        return invert(_PUNCTURED_DOUBLE)
     if v1 == "meet" and v2 == "inverse":
         if mu == nu:
             _unsupported(c1, c2, "the first class is contained in the second")
         if card_cmp(mu, nu) > 0:
-            return invert(_shift(1))
+            return invert(SHIFT)
         return bijection_between(
             from_prog(Prog(0, 2)), NATURALS.difference(from_finite([0]))
         )
@@ -451,9 +431,7 @@ def _w_p_p(c1: ClassId, c2: ClassId) -> Chart:
 
 def _accepted_class(uf) -> EPSet:
     if isinstance(uf, ResidueTower):
-        modulus = 2
-        for p, a, _ in uf.choices:
-            modulus = modulus * p**a
+        modulus = uf.base_modulus
         return residue_class(uf.residue_at(modulus), modulus)
     raise ParameterError("only tower oracles have an accepted residue class")
 

@@ -87,19 +87,23 @@ def _emit(records, fmt: str, human) -> None:
 
 def _cmd_chart(args) -> int:
     if args.action == "parse":
-        c = parse_chart(args.chart[0])
+        c = parse_chart(args.arg[0])
         print(render_chart(c))
     elif args.action == "compose":
-        c = compose(parse_chart(args.chart[0]), parse_chart(args.chart[1]))
+        c = compose(parse_chart(args.arg[0]), parse_chart(args.arg[1]))
         print(render_chart(c))
     elif args.action == "invert":
-        print(render_chart(invert(parse_chart(args.chart[0]))))
+        print(render_chart(invert(parse_chart(args.arg[0]))))
     elif args.action == "apply":
-        c = parse_chart(args.chart[0])
-        y = apply_chart(c, int(args.chart[1]))
+        c = parse_chart(args.arg[0])
+        try:
+            x = int(args.arg[1])
+        except ValueError as exc:
+            raise ParseError(f"point must be an integer, got {args.arg[1]!r}") from exc
+        y = apply_chart(c, x)
         print("undefined" if y is None else y)
     else:  # stats
-        c = parse_chart(args.chart[0])
+        c = parse_chart(args.arg[0])
         st = stats(c)
         print(f"rank={render_card(st.rank)}")
         print(f"collapse={render_card(st.collapse)}")
@@ -295,6 +299,28 @@ def _cmd_conditions(args) -> int:
     return 0 if rep.ok else 1
 
 
+# The actions of each verb and the operands each takes, in help order;
+# None marks the variadic `finite closure`.
+_OPERANDS = {
+    "chart": {"parse": 1, "compose": 2, "invert": 1, "apply": 2, "stats": 1},
+    "class": {"member": 2, "witness": 2, "dual": 1, "admissible": 1, "exclude": 1},
+    "uf": {"contains": 2, "stabilises": 2, "min": 1},
+    "rel": {"rho": 2, "compose": 2, "padding": 3},
+    "finite": {"classify": 0, "completeness": 0, "closure": None, "minext": 1},
+}
+
+
+def _check_operands(args) -> None:
+    if args.command not in _OPERANDS:
+        return
+    want = _OPERANDS[args.command][args.action]
+    if want is not None and len(args.arg) != want:
+        raise ParameterError(
+            f"{args.command} {args.action} takes {want} operand{'s' * (want != 1)}, "
+            f"got {len(args.arg)}"
+        )
+
+
 # Building the tree costs more than a small query, and parsing leaves it
 # unchanged, so one process builds it once, on first use.
 @functools.cache
@@ -305,41 +331,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("chart", help="parse, compose, invert, apply, stats")
-    c.add_argument("action", choices=["parse", "compose", "invert", "apply", "stats"])
-    c.add_argument("chart", nargs="+")
-    c.set_defaults(fn=_cmd_chart)
+    def verb(name, fn, **kw):
+        actions = _OPERANDS[name]
+        v = sub.add_parser(name, help=", ".join(actions), **kw)
+        v.add_argument("action", choices=list(actions))
+        v.add_argument("arg", nargs="*")
+        v.set_defaults(fn=fn)
+        return v
 
-    k = sub.add_parser("class", help="member, witness, dual, admissible, exclude")
-    k.add_argument(
-        "action", choices=["member", "witness", "dual", "admissible", "exclude"]
-    )
-    k.add_argument("arg", nargs="+")
-    k.set_defaults(fn=_cmd_class)
-
-    u = sub.add_parser("uf", help="contains, stabilises, min")
-    u.add_argument("action", choices=["contains", "stabilises", "min"])
-    u.add_argument("arg", nargs="+")
-    u.set_defaults(fn=_cmd_uf)
-
-    r = sub.add_parser("rel", help="rho, compose, padding")
-    r.add_argument("action", choices=["rho", "compose", "padding"])
-    r.add_argument("arg", nargs="+")
-    r.set_defaults(fn=_cmd_rel)
-
-    f = sub.add_parser(
+    verb("chart", _cmd_chart)
+    verb("class", _cmd_class)
+    verb("uf", _cmd_uf)
+    verb("rel", _cmd_rel)
+    f = verb(
         "finite",
-        help="classify, completeness, closure, minext",
+        _cmd_finite,
         description="Partial injections on {0..n-1}. 'classify' lists the "
         "predicted maximal subsemigroups; 'completeness' finds them all by "
         "J-class reduction and compares (2 <= n <= 4); 'closure' generates "
         "a subsemigroup; 'minext' gives a minimal total extension.",
     )
-    f.add_argument("action", choices=["classify", "completeness", "closure", "minext"])
-    f.add_argument("arg", nargs="*")
     f.add_argument("--n", type=int, default=3, help="ground-set size (default 3)")
     f.add_argument("--format", choices=["text", "records"], default="text")
-    f.set_defaults(fn=_cmd_finite)
 
     l = sub.add_parser("laws", help="run a law suite")
     l.add_argument("--suite", required=True, help="suite id, or 'all'")
@@ -363,6 +376,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_operands(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

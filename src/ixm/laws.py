@@ -48,6 +48,9 @@ from .chart import (
     parse_chart,
 )
 from .classes import (
+    DOUBLE,
+    HALVE,
+    SHIFT,
     ClassId,
     dual_class,
     excluding_maximal,
@@ -215,6 +218,24 @@ class _Ctx:
             got == want, lambda: f"{label}: got {got!r}, want {want!r}"
         )
 
+    def attempt(self, prefix: str, fn, *args, errors=(ParameterError, InternalError)):
+        """fn(*args), or None after one failed check worded "prefix: error"
+        if it raises one of ``errors``."""
+        try:
+            return fn(*args)
+        except errors as e:
+            self.check(False, f"{prefix}: {e}")
+            return None
+
+    def refuses(self, msg: str, fn, *args) -> None:
+        """One check that fn(*args) raises ParameterError; ``msg`` words its
+        failure.  Any other exception propagates."""
+        try:
+            fn(*args)
+            self.check(False, msg)
+        except ParameterError:
+            self.check(True, "rejected")
+
 
 def suite_names() -> list[str]:
     return sorted(_SUITES)
@@ -263,9 +284,6 @@ def _in(c: ClassId, f: Chart) -> bool:
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
 GAMMA = from_finite([0, 2])
-DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
-HALVE = invert(DOUBLE)
-SHIFT = make_chart((), (Piece(Prog(0, 1), Prog(1, 1)),))
 PARITY_SWAP = make_chart(
     (), (Piece(Prog(0, 2), Prog(1, 2)), Piece(Prog(1, 2), Prog(0, 2)))
 )
@@ -776,32 +794,24 @@ def _suite_witnesses(ctx, rng, cases):
     for c1, c2 in expect_witness:
         distinct.add(c1)
         distinct.add(c2)
-        try:
-            w = separating_witness(c1, c2)
-        except (UnsupportedWitnessError, ParameterError, InternalError) as e:
-            ctx.check(
-                False,
-                f"{render_class(c1)} vs {render_class(c2)}: {e}",
-            )
-            continue
-        ctx.check(
-            in_class(c1, w) and not in_class(c2, w),
-            f"{render_class(c1)} vs {render_class(c2)}: witness not separating",
+        tag = f"{render_class(c1)} vs {render_class(c2)}"
+        w = ctx.attempt(
+            tag, separating_witness, c1, c2,
+            errors=(UnsupportedWitnessError, ParameterError, InternalError),
         )
+        if w is None:
+            continue
+        ctx.check(in_class(c1, w) and not in_class(c2, w), f"{tag}: witness not separating")
     pool = _master_pool(rng, extra=60)
     for c1, c2 in expect_raise:
+        tag = f"{render_class(c1)} vs {render_class(c2)}"
         try:
-            w = separating_witness(c1, c2)
-            ctx.check(
-                False,
-                f"{render_class(c1)} vs {render_class(c2)}: expected refusal, "
-                f"got {render_chart(w)}",
-            )
-            continue
+            w = ctx.attempt(tag, separating_witness, c1, c2)
         except UnsupportedWitnessError:
             ctx.check(True, "refused")
-        except (ParameterError, InternalError) as e:
-            ctx.check(False, f"{render_class(c1)} vs {render_class(c2)}: {e}")
+        else:
+            if w is not None:
+                ctx.check(False, f"{tag}: expected refusal, got {render_chart(w)}")
             continue
         leak = next(
             (f for f in pool if in_class(c1, f) and not in_class(c2, f)), None
@@ -870,9 +880,7 @@ def _suite_ultra_axioms(ctx, rng, cases):
             ctx.equal(uf_min(uf), fin(1), f"case {i}: principal minimum")
         else:
             ctx.equal(uf_min(uf), ALEPH0, f"case {i}: tower minimum")
-            base = 2
-            for p, e, _ in uf.choices:
-                base *= p ** e
+            base = uf.base_modulus
             m = base * rng.randrange(1, 5)
             r = uf.residue_at(m)
             ctx.check(
@@ -915,9 +923,7 @@ def _suite_ultra_stab(ctx, rng, cases):
                 and not uf_contains(uf, image_of_set(f, wit)),
                 f"case {i}: refusal without a checkable witness",
             )
-        base = 2
-        for p, e, _ in uf.choices:
-            base *= p ** e
+        base = uf.base_modulus
         acc = residue_class(uf.residue_at(base), base)
         keeper = chart_union(
             identity_on(acc),
@@ -993,10 +999,8 @@ def _suite_padding(ctx, rng, cases):
     for i in range(exact):
         p = random_partition(rng)
         f, g = random_mixed(rng), random_mixed(rng)
-        try:
-            a = padding_perm(p, f, g)
-        except (ParameterError, InternalError) as e:
-            ctx.check(False, f"exact case {i}: {e}")
+        a = ctx.attempt(f"exact case {i}", padding_perm, p, f, g)
+        if a is None:
             continue
         ctx.check(is_permutation(a), f"exact case {i}: padding is not a permutation")
         ctx.check(
@@ -1033,10 +1037,8 @@ def _suite_sandwich(ctx, rng, cases):
     yc = y.complement()
     for i in range(cases):
         h = specials[i] if i < len(specials) else random_mixed(rng)
-        try:
-            p = sandwich_factorize(h, f, g, y)
-        except (ParameterError, InternalError) as e:
-            ctx.check(False, f"case {i}: {e}")
+        p = ctx.attempt(f"case {i}", sandwich_factorize, h, f, g, y)
+        if p is None:
             continue
         ctx.check(is_permutation(p), f"case {i}: middle factor is not a permutation")
         ctx.equal(
@@ -1054,15 +1056,24 @@ def _suite_sandwich(ctx, rng, cases):
         (DOUBLE, g),               # image of f is all of the evens, not a moiety of them
         (f, bijection_between(residue_class(2, 4), residue_class(2, 4))),
     ):
-        try:
-            sandwich_factorize(IDENTITY_CHART, bad_f, bad_g, y)
-            ctx.check(False, "unsuitable sandwich accepted")
-        except ParameterError:
-            ctx.check(True, "rejected")
+        ctx.refuses(
+            "unsuitable sandwich accepted", sandwich_factorize, IDENTITY_CHART, bad_f, bad_g, y
+        )
     return "carrier=evens"
 
 
 # -- Spreading and evading ----------------------------------------------------------------
+
+
+def _word_ok(p: FinPartition, word, letters: dict) -> bool:
+    """Every letter of a factored word is the chart ``letters`` gives for its
+    label, or, labelled "stab", a permutation that permutes the blocks of p."""
+    return all(
+        is_permutation(c) and rel_is_perm(rho_of(p, c))
+        if label == "stab"
+        else label in letters and c == letters[label]
+        for label, c in word
+    )
 
 
 def _suite_spreader(ctx, rng, cases):
@@ -1076,21 +1087,11 @@ def _suite_spreader(ctx, rng, cases):
         delta = stats(f).defect
         if delta == fin(0):
             continue
-        try:
-            out = defect_spreader(p, f)
-        except (ParameterError, InternalError) as e:
-            ctx.check(False, f"case {i}: {e}")
+        out = ctx.attempt(f"case {i}", defect_spreader, p, f)
+        if out is None:
             continue
         ctx.equal(out.replay(), out.chart, f"case {i}: word replay")
-        good_word = True
-        for label, c in out.word:
-            if label == "gen":
-                good_word = good_word and c == f
-            elif label == "stab":
-                good_word = good_word and is_permutation(c) and rel_is_perm(rho_of(p, c))
-            else:
-                good_word = False
-        ctx.check(good_word, f"case {i}: word labels")
+        ctx.check(_word_ok(p, out.word, {"gen": f}), f"case {i}: word labels")
         missing = NATURALS.difference(im_set(out.chart))
         ctx.check(
             all(
@@ -1101,11 +1102,7 @@ def _suite_spreader(ctx, rng, cases):
         )
         ctx.check(is_total(out.chart), f"case {i}: spread chart lost totality")
     for bad in (HALVE, IDENTITY_CHART):
-        try:
-            defect_spreader(mod_partition(2), bad)
-            ctx.check(False, "unsuitable spread input accepted")
-        except ParameterError:
-            ctx.check(True, "rejected")
+        ctx.refuses("unsuitable spread input accepted", defect_spreader, mod_partition(2), bad)
     return ""
 
 
@@ -1119,10 +1116,8 @@ def _suite_evader(ctx, rng, cases):
         bundles.append((p, DOUBLE, g, h))
         bundles.append((p, compose(DOUBLE, DOUBLE), g, h))
     for idx, (p, f, g, h) in enumerate(bundles):
-        try:
-            out = block_evader(p, f, g, h)
-        except (ParameterError, InternalError) as e:
-            ctx.check(False, f"bundle {idx}: {e}")
+        out = ctx.attempt(f"bundle {idx}", block_evader, p, f, g, h)
+        if out is None:
             continue
         ctx.check(is_total(out.chart), f"bundle {idx}: result is not total")
         ctx.check(
@@ -1130,34 +1125,17 @@ def _suite_evader(ctx, rng, cases):
             f"bundle {idx}: image escapes the first block",
         )
         ctx.equal(out.replay(), out.chart, f"bundle {idx}: word replay")
-        good = True
-        for label, c in out.word:
-            if label == "gen":
-                good = good and c == f
-            elif label == "g":
-                good = good and c == g
-            elif label == "h":
-                good = good and c == h
-            elif label == "stab":
-                good = good and is_permutation(c) and rel_is_perm(rho_of(p, c))
-            else:
-                good = False
-        ctx.check(good, f"bundle {idx}: word labels")
-    p2 = mod_partition(2)
-    sigma0 = residue_class(0, 2)
-    g = invert(bijection_between(sigma0, NATURALS))
-    h = bijection_between(sigma0, NATURALS)
+        ctx.check(
+            _word_ok(p, out.word, {"gen": f, "g": g, "h": h}), f"bundle {idx}: word labels"
+        )
+    p2, _, g, h = bundles[0]  # the parts mod 2
     for bad in (
         (p2, SHIFT, g, h),          # finite defect cannot be funnelled
         (p2, IDENTITY_CHART, g, h),
         (p2, DOUBLE, h, g),         # swapped roles have the wrong relation shape
         (p2, DOUBLE, PARITY_SWAP, h),
     ):
-        try:
-            block_evader(*bad)
-            ctx.check(False, "unsuitable evader input accepted")
-        except ParameterError:
-            ctx.check(True, "rejected")
+        ctx.refuses("unsuitable evader input accepted", block_evader, *bad)
     return f"bundles={len(bundles)}"
 
 
@@ -1263,11 +1241,7 @@ def _suite_minext(ctx, rng, cases):
         )
         if total:
             ctx.equal(tuple(v), tuple(u), f"case {i}: total chart altered")
-    try:
-        minimal_extension((None, None, None))
-        ctx.check(False, "empty chart extended")
-    except ParameterError:
-        ctx.check(True, "rejected")
+    ctx.refuses("empty chart extended", minimal_extension, (None, None, None))
     return ""
 
 
@@ -1351,11 +1325,7 @@ def _suite_excluding(ctx, rng, cases):
             "excluder rejects a chart that belongs to every class",
         )
     for bad in (IDENTITY_CHART, identity_on(EVENS), make_chart(((1, 4),), ())):
-        try:
-            excluding_maximal(bad)
-            ctx.check(False, "excluder produced for a chart in every class")
-        except ParameterError:
-            ctx.check(True, "rejected")
+        ctx.refuses("excluder produced for a chart in every class", excluding_maximal, bad)
     return f"excluded charts={found}"
 
 
@@ -1505,56 +1475,36 @@ def check_conditions(n: int, family=None, group_gens=None) -> ConditionReport:
     else:
         family = [(f"member-{i}", frozenset(m)) for i, m in enumerate(family)]
     universe = frozenset(all_fcharts(n))
-    results = []
-
-    g_bad = [lbl for lbl, m in family if not group <= m]
-    results.append(
-        (
-            "group-containment",
-            not g_bad,
-            "every member contains the reference semigroup"
-            if not g_bad
-            else f"violations: {g_bad}",
-        )
-    )
-    bad = [lbl for lbl, m in family if not (m < universe and is_closed(m))]
-    results.append(
-        (
-            "proper-closed",
-            not bad,
-            "every member is a proper subsemigroup" if not bad else f"violations: {bad}",
-        )
-    )
-    pairs = [
-        (a, b)
-        for (a, ma) in family
-        for (b, mb) in family
-        if a != b and ma <= mb
-    ]
-    results.append(
-        (
-            "incomparable",
-            not pairs,
-            "no member contains another" if not pairs else f"containments: {pairs}",
-        )
-    )
     members = [m for _, m in family]
-    inv_bad = [
-        lbl
-        for lbl, m in family
-        if frozenset(fchart_invert(u) for u in m) not in members
-    ]
-    results.append(
-        (
+
+    def result(name, bad, good_text, bad_label="violations"):
+        return (name, not bad, f"{bad_label}: {bad}" if bad else good_text)
+
+    results = (
+        result(
+            "group-containment",
+            [lbl for lbl, m in family if not group <= m],
+            "every member contains the reference semigroup",
+        ),
+        result(
+            "proper-closed",
+            [lbl for lbl, m in family if not (m < universe and is_closed(m))],
+            "every member is a proper subsemigroup",
+        ),
+        result(
+            "incomparable",
+            [(a, b) for (a, ma) in family for (b, mb) in family if a != b and ma <= mb],
+            "no member contains another",
+            "containments",
+        ),
+        result(
             "inversion-closed-family",
-            not inv_bad,
-            "the family is closed under elementwise inversion"
-            if not inv_bad
-            else f"violations: {inv_bad}",
-        )
+            [lbl for lbl, m in family if frozenset(fchart_invert(u) for u in m) not in members],
+            "the family is closed under elementwise inversion",
+        ),
     )
     note = (
         "the generation condition quantifying over all subsemigroups is out of "
         "scope for a mechanical check" + filtered
     )
-    return ConditionReport(n=n, results=tuple(results), note=note)
+    return ConditionReport(n=n, results=results, note=note)

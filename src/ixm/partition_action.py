@@ -27,13 +27,13 @@ from .chart import (
     bijection_between,
     chart_union,
     compose,
-    defect_of,
     extend_to_bijection,
     identity_on,
     im_set,
     image_of_set,
     is_total,
     preimage_of_set,
+    stats,
 )
 from .epset import EPSet, NATURALS, residue_class, union_all
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
@@ -398,7 +398,7 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
     points inside every block."""
     if not is_total(f):
         raise ParameterError("defect spreading needs a total chart")
-    delta = defect_of(f)
+    delta = stats(f).defect
     if delta == fin(0):
         raise ParameterError("the chart is surjective; there is nothing to spread")
 
@@ -561,7 +561,7 @@ def block_evader(p: FinPartition, f: Chart, g: Chart, h: Chart) -> FactoredChart
     """
     if not is_total(f):
         raise ParameterError("f must be total")
-    if defect_of(f) != ALEPH0:
+    if stats(f).defect != ALEPH0:
         raise ParameterError(
             "f must miss infinitely many points: finite defect can never be "
             "funnelled into one block, since composing charts only adds defects"

@@ -15,6 +15,7 @@ from .chart import (
     IDENTITY_CHART,
     Piece,
     bijection_between,
+    compose,
     identity_on,
     invert,
     make_chart,
@@ -118,7 +119,7 @@ def random_permutation(rng: random.Random) -> Chart:
         base = IDENTITY_CHART
     for _ in range(rng.randint(0, 3)):
         u, v = rng.sample(range(MAX_FIRST), 2)
-        base = base * transposition(u, v)
+        base = compose(base, transposition(u, v))
     return base
 
 
@@ -130,9 +131,9 @@ def random_total(rng: random.Random) -> Chart:
         step = rng.randint(2, 6)
         offset = rng.randrange(step)
         squeeze = make_chart((), (Piece(Prog(0, 1), Prog(offset, step)),))
-        return random_permutation(rng) * squeeze
+        return compose(random_permutation(rng), squeeze)
     target = random_infinite_epset(rng)
-    return bijection_between(NATURALS, target) * random_permutation(rng)
+    return compose(bijection_between(NATURALS, target), random_permutation(rng))
 
 
 def random_partial_identity(rng: random.Random) -> Chart:

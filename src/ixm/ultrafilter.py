@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .chart import Chart, dom_set, im_set, image_of_set
+from .chart import Chart, apply_chart, dom_set, im_set, image_of_set
 from .epset import EPSet, NATURALS, Prog, from_finite, from_prog
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
@@ -134,6 +134,15 @@ class ResidueTower:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _, _ in self.choices)
 
+    @property
+    def base_modulus(self) -> int:
+        """Twice the product of p**a over the choices: the modulus of the
+        accepted residue class that witnesses and law suites build on."""
+        m = 2
+        for p, a, _ in self.choices:
+            m *= p**a
+        return m
+
 
 def make_tower(entries) -> ResidueTower:
     """Build a tower from (prime, exponent, residue) triples, merging
@@ -208,7 +217,7 @@ def stabilises_filter(f, c: Chart, check_witness: bool = True) -> tuple[bool, EP
     """
     if isinstance(f, Principal):
         x = f.point
-        if x in dom_set(c) and c.apply(x) == x:
+        if x in dom_set(c) and apply_chart(c, x) == x:
             return (True, None)
         return (False, from_finite([x]))
     if not isinstance(f, ResidueTower):

@@ -17,12 +17,9 @@ from ixm.chart import (
     apply_chart,
     bijection_between,
     chart_union,
-    collapse_of,
     compose,
-    defect_of,
     dom_set,
     extend_to_bijection,
-    extend_to_permutation,
     identity_on,
     im_set,
     image_of_set,
@@ -33,7 +30,6 @@ from ixm.chart import (
     make_chart,
     parse_chart,
     preimage_of_set,
-    rank_of,
     render_chart,
     restrict,
     sandwich_factorize,
@@ -242,10 +238,10 @@ class TestStats:
         # Support is reported only for permutations; the shift misses 0.
         assert s.support is None
 
-    def test_wrappers(self):
-        assert rank_of(DOUBLE) == ALEPH0
-        assert collapse_of(SHIFT) == ZERO
-        assert defect_of(SHIFT) == fin(1)
+    def test_single_statistics(self):
+        assert stats(DOUBLE).rank == ALEPH0
+        assert stats(SHIFT).collapse == ZERO
+        assert stats(SHIFT).defect == fin(1)
 
     def test_image_cache_hit_equals_miss(self):
         assert image_of_set.cache_info().maxsize == 65536
@@ -594,20 +590,20 @@ class TestBijectionBetween:
 
 class TestExtend:
     def test_empty_to_full_permutation(self):
-        q = extend_to_permutation(EMPTY_CHART, NATURALS)
+        q = extend_to_bijection(EMPTY_CHART, NATURALS, NATURALS)
         s = stats(q)
         assert s.dom == NATURALS and s.im == NATURALS
 
     def test_partial_shift_inside_evens(self):
         p = make_chart((), (Piece(Prog(0, 4), Prog(2, 4)),))  # 4t -> 4t+2
-        q = extend_to_permutation(p, EVENS)
+        q = extend_to_bijection(p, EVENS, EVENS)
         assert restrict(q, residue_class(0, 4)) == p
         s = stats(q)
         assert s.dom == EVENS and s.im == EVENS
 
     def test_forced_singleton(self):
         p = make_chart([(0, 0)], ())
-        assert extend_to_permutation(p, from_finite([0])) == p
+        assert extend_to_bijection(p, from_finite([0]), from_finite([0])) == p
 
     def test_extension_preserves_given_values(self):
         rng = make_rng(61)
@@ -617,13 +613,13 @@ class TestExtend:
                 continue
             half = y.split(2)[0]
             p = bijection_between(half, y.difference(half))
-            q = extend_to_permutation(p, y)
+            q = extend_to_bijection(p, y, y)
             assert restrict(q, half) == p
             assert dom_set(q) == y and im_set(q) == y
 
     def test_domain_outside_carrier_rejected(self):
         with pytest.raises(ParameterError):
-            extend_to_permutation(make_chart([(1, 1)], ()), EVENS)
+            extend_to_bijection(make_chart([(1, 1)], ()), EVENS, EVENS)
 
     def test_leftover_mismatch_rejected(self):
         with pytest.raises(ParameterError):

@@ -158,6 +158,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["finite", "completeness", "--n", "4", "--format", "records"], 0),
         (["finite", "closure", "[0,1]", "[0,1,2]"], 2),
         (["finite", "closure", "[0]", "[1,0]"], 2),
+        (["chart", "apply", "chart { pair 0 -> 1; }", "x"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -170,6 +171,64 @@ def test_exit_codes(argv, code, capsys):
         assert record["complete"] and record["matches_predictions"]
     if code >= 2:
         assert err and not out
+
+
+_CHART = "chart { piece (0 mod 1 from 0) -> (0 mod 1 from 1); }"
+# Well-formed operands for every action of fixed arity, so that a wrong count
+# is the only fault in each call below.
+_OPERANDS = {
+    ("chart", "parse"): [_CHART],
+    ("chart", "compose"): [_CHART, _CHART],
+    ("chart", "invert"): [_CHART],
+    ("chart", "apply"): [_CHART, "3"],
+    ("chart", "stats"): [_CHART],
+    ("class", "member"): ["S[mu=aleph0]", _CHART],
+    ("class", "witness"): ["S[mu=aleph0]", "S[mu=fin:1]"],
+    ("class", "dual"): ["S[mu=aleph0]"],
+    ("class", "admissible"): ["S[mu=aleph0]"],
+    ("class", "exclude"): [_CHART],
+    ("uf", "contains"): ["uf principal 3", "ep N=5 m=1 R={} L={3}"],
+    ("uf", "stabilises"): ["uf principal 3", _CHART],
+    ("uf", "min"): ["uf principal 3"],
+    ("rel", "rho"): ["part mod 2", _CHART],
+    ("rel", "compose"): ["rel n=2 {(0,0),(1,0)}", "rel n=2 {(0,0),(1,0)}"],
+    ("rel", "padding"): ["part mod 2", _CHART, _CHART],
+    ("finite", "classify"): [],
+    ("finite", "completeness"): [],
+    ("finite", "minext"): ["[0,_]"],
+}
+
+
+def test_the_operand_table_covers_every_fixed_arity_action():
+    fixed = {
+        (verb, action)
+        for verb, actions in ixm.cli._OPERANDS.items()
+        for action, n in actions.items()
+        if n is not None
+    }
+    assert fixed == set(_OPERANDS)
+    assert all(len(_OPERANDS[key]) == ixm.cli._OPERANDS[key[0]][key[1]] for key in fixed)
+
+
+def _miscounts():
+    for (verb, action), ops in _OPERANDS.items():
+        if ops:
+            yield [verb, action, *ops[:-1]]
+        yield [verb, action, *ops, ops[-1] if ops else "extra"]
+
+
+@pytest.mark.parametrize("argv", list(_miscounts()), ids=lambda a: f"{a[0]}-{a[1]}-{len(a) - 2}")
+def test_a_wrong_operand_count_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_the_well_formed_operands_are_accepted(capsys):
+    for (verb, action), ops in _OPERANDS.items():
+        assert main([verb, action, *ops]) in (0, 1), (verb, action)
+    capsys.readouterr()
 
 
 def _fresh(argv, env):

@@ -1,7 +1,10 @@
 """Source hygiene: every name a library module imports is read somewhere in
-that module.  ``__init__`` is exempt, because it imports to re-export."""
+that module, every top-level function is called or named somewhere, and the
+package root holds every name the benchmark reads from it.  ``__init__`` is
+exempt from the first two, because it imports to re-export."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import ixm
 MODULES = sorted(
     p for p in Path(ixm.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"
 )
+BENCH = sorted((Path(ixm.__file__).resolve().parents[2] / "ixmbench").glob("*.py"))
 
 
 def _unread_imports(source: str) -> list[str]:
@@ -38,3 +42,54 @@ def test_the_scan_sees_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
+
+
+def _names_read(source: str, strings: bool = False) -> set[str]:
+    """Names loaded, attributes read and, if ``strings``, string constants
+    (the tracer patches functions by name)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_the_benchmark_is_scanned():
+    assert {"round.py", "tracer.py"} <= {p.name for p in BENCH}
+
+
+def test_every_top_level_function_is_used():
+    read = set()
+    for path in MODULES:
+        read |= _names_read(path.read_text())
+    for path in BENCH:
+        read |= _names_read(path.read_text(), strings=True)
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in read
+    ]
+    assert unused == []
+
+
+def test_the_root_holds_every_name_the_benchmark_reads():
+    read = {
+        node.attr
+        for path in BENCH
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ixm"
+    }
+    assert {"parse_epset", "render_epset", "render_card"} <= read
+    missing = [
+        name
+        for name in sorted(read)
+        if not hasattr(ixm, name) and importlib.util.find_spec(f"ixm.{name}") is None
+    ]
+    assert missing == []
