@@ -454,7 +454,7 @@ def bijection_between(a: EPSet, b: EPSet) -> Chart:
             f"cannot biject sets of cardinality {ca} and {cb}"
         )
     if ca.finite:
-        return make_chart(zip(sorted(a.low), sorted(b.low)), ())
+        return make_chart(zip(a.low, b.low), ())
 
     progs_a, fin_a = a.decompose()
     progs_b, fin_b = b.decompose()

@@ -36,7 +36,7 @@ from .chart import (
     stats,
     transposition,
 )
-from .epset import EPSet, NATURALS, Prog, from_finite, from_prog, residue_class
+from .epset import EPSet, NATURALS, Prog, from_finite, from_prog, render_ints, residue_class
 from .errors import InternalError, ParameterError, ParseError, UnsupportedWitnessError
 from .partition_action import (
     FinPartition,
@@ -380,7 +380,7 @@ def _w_s_s(c1: ClassId, c2: ClassId) -> Chart:
 
 
 def _evens_above(s: EPSet) -> EPSet:
-    cap = (max(s.low) if s.low else 0) + s.threshold + 2
+    cap = max(s.low.bit_length() - 1, 0) + s.threshold + 2
     start = cap + cap % 2
     return from_prog(Prog(start, 2))
 
@@ -399,9 +399,8 @@ def _w_p_s(c1: ClassId, c2: ClassId) -> Chart:
 
 
 def _w_s_p(c1: ClassId, c2: ClassId) -> Chart:
-    gamma = c2.gamma
-    pts = sorted(gamma.low)
-    return transposition(pts[0], pts[-1] + 1)
+    low = c2.gamma.low
+    return transposition((low & -low).bit_length() - 1, low.bit_length())
 
 
 def _w_p_p(c1: ClassId, c2: ClassId) -> Chart:
@@ -417,7 +416,7 @@ def _w_p_p(c1: ClassId, c2: ClassId) -> Chart:
         return bijection_between(dom, im)
     if not delta.is_subset(gamma):
         moved = delta.difference(gamma).min()
-        top = max(max(gamma.low), max(delta.low)) + 1
+        top = max(gamma.low.bit_length(), delta.low.bit_length())
         return transposition(moved, top)
     if mu == nu:
         _unsupported(c1, c2, "the first class is contained in the second")
@@ -612,9 +611,9 @@ def _w_s_a(c1: ClassId, c2: ClassId) -> Chart:
 def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
     gamma = c2.gamma
     p = c1.partition
-    anchor = min(gamma.low)
+    anchor = (gamma.low & -gamma.low).bit_length() - 1
     block = p.blocks[p.block_of(anchor)]
-    ceiling = max(gamma.low) + 1
+    ceiling = gamma.low.bit_length()
     other = next(x for x in block.iter_ascending() if x > ceiling)
     return transposition(anchor, other)
 
@@ -763,8 +762,7 @@ def render_class(c: ClassId) -> str:
     if c.family == "S":
         return f"{token}[mu={render_card(c.mu)}]"
     if c.family == "P":
-        inner = ",".join(str(x) for x in sorted(c.gamma.low))
-        return f"{token}[gamma={{{inner}}};mu={render_card(c.mu)}]"
+        return f"{token}[gamma={{{render_ints(c.gamma.low)}}};mu={render_card(c.mu)}]"
     if c.family == "V":
         uf_text = render_uf(c.uf)[3:]  # strip the 'uf ' prefix
         if uf_text == "tower []":

@@ -100,6 +100,8 @@ def _cmd_chart(args) -> int:
             x = int(args.arg[1])
         except ValueError as exc:
             raise ParseError(f"point must be an integer, got {args.arg[1]!r}") from exc
+        if x < 0:
+            raise ParameterError(f"point must be a natural, got {x}")
         y = apply_chart(c, x)
         print("undefined" if y is None else y)
     else:  # stats

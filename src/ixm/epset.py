@@ -27,6 +27,12 @@ indices, spread by the destination step, are the image's tail.  Its
 Python loops visit set bits only (of R, of the index word and of the low
 part), never the indices below the threshold or the positions of the
 word.
+
+Iterating and rendering a mask cost about what its text costs: a mask
+with at least one bit in eight set is listed by a C-level walk over its
+bit positions, a sparser one by jumping between its set bits, and
+`render_ints` formats the listed ints with one `%` call.  No Python
+statement runs per member of a dense mask.
 """
 
 from __future__ import annotations
@@ -114,11 +120,23 @@ def progs_intersect(a: Prog, b: Prog) -> Prog | None:
     return Prog(x, step)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class Bits(int):
     """A finite set of naturals held as an int bitmask: x is in it iff bit x is set.
 
     It stays an int, so equality and hashing are the int's; it adds the set
     protocol that callers read: membership, ascending iteration and size.
+
+    Iteration takes one of two loops, chosen by density.  When at least one
+    bit in eight is set, `itertools.compress` walks every bit position in C,
+    at about 25-50 ns a position; otherwise a Python generator jumps from
+    set bit to set bit with `str.find`, at about 200-240 ns a set bit.  On
+    85k set bits of a 94,755-bit mask the walk takes 3.8 ms and the jumps
+    20.6 ms; on 2 set bits of 10**5 the walk would take 2.7 ms and the jumps
+    take 0.12 ms, so sparse masks keep the jumps (Python 3.11, shared 2-core
+    Xeon).
     """
 
     __slots__ = ()
@@ -128,13 +146,20 @@ class Bits(int):
 
     def __iter__(self):
         digits = bin(self)[:1:-1]  # bit x is digits[x]
-        x = digits.find("1")
-        while x >= 0:
-            yield x
-            x = digits.find("1", x + 1)
+        if 8 * self.bit_count() >= len(digits):
+            return itertools.compress(itertools.count(), digits.encode().translate(_BIT_BYTES))
+        return _ones(digits)
 
     def __len__(self) -> int:
         return self.bit_count()
+
+
+def _ones(digits: str):
+    """The positions of the 1s in `digits`, one `str.find` per set bit."""
+    x = digits.find("1")
+    while x >= 0:
+        yield x
+        x = digits.find("1", x + 1)
 
 
 @dataclass(frozen=True)
@@ -474,9 +499,17 @@ def union_all(sets) -> EPSet:
 # -- Text format ---------------------------------------------------------
 
 
+def render_ints(xs) -> str:
+    """The ints xs, comma-separated, formatted by one `%` call."""
+    if not xs:
+        return ""
+    xs = tuple(xs)
+    return ("%d," * len(xs) % xs)[:-1]
+
+
 def render_epset(s: EPSet) -> str:
-    res = ",".join(map(str, s.residues))
-    low = ",".join(map(str, s.low))
+    res = render_ints(s.residues)
+    low = render_ints(s.low)
     return f"ep N={s.threshold} m={s.period} R={{{res}}} L={{{low}}}"
 
 

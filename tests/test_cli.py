@@ -1,6 +1,8 @@
 """Command-line entry point: exit codes, the size guards, latency of chart
-canonicalisation, and reuse of the parser within one process."""
+canonicalisation, the text of wide answers, and reuse of the parser within
+one process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +111,39 @@ def test_widest_many_piece_chart_stats_stay_small():
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # The witness has a low part of about 85k of its 94,755 points.
+        (
+            [
+                "uf",
+                "stabilises",
+                "uf tower [2^2=3]",
+                "chart { pair 7434 -> 94238; pair 65764 -> 38719; "
+                "piece (4 mod 10 from 9476) -> (17 mod 42 from 2256); "
+                "piece (7 mod 10 from 7947) -> (16 mod 42 from 1684); }",
+            ],
+            "92db8881bea5e9a0f3abd4422d4d5c96dfa251531e66e28cf88e61446cceb9db",
+        ),
+        # 188,816 bytes: a domain and image with low parts near 10**5 wide.
+        (
+            [
+                "chart",
+                "stats",
+                "chart { pair 64215 -> 46122; pair 75193 -> 56724; "
+                "piece (2 mod 6 from 13720) -> (0 mod 2 from 41161); "
+                "piece (5 mod 6 from 9384) -> (1 mod 2 from 14054); }",
+            ],
+            "00c89710abec5c77a2790ada349bc4ffc2ca35f728d2335c7f925a6b9292c4bd",
+        ),
+    ],
+)
+def test_wide_answers_render_unchanged(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "text",
     [
         # One rule group whose merged piece starts at 10**7: 5*10**6 evens
@@ -159,6 +194,7 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["finite", "closure", "[0,1]", "[0,1,2]"], 2),
         (["finite", "closure", "[0]", "[1,0]"], 2),
         (["chart", "apply", "chart { pair 0 -> 1; }", "x"], 2),
+        (["chart", "apply", "chart { piece (0 mod 1 from 0) -> (0 mod 1 from 0); }", "-3"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):

@@ -2,11 +2,12 @@
 
 import functools
 import itertools
+import random
 import time
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ixm.cardinal import ALEPH0, fin
@@ -513,6 +514,12 @@ class TestPeriodSearch:
         assert union_all(groups) == union_all([from_prog(p) for p in progs])
 
 
+# Two 10**5-bit masks with the top bit set: one with about half its bits set,
+# one with three.
+_WIDE_DENSE = random.Random(5).getrandbits(10**5) | 1 << (10**5 - 1)
+_WIDE_SPARSE = 1 | 1 << 50_000 | 1 << (10**5 - 1)
+
+
 class TestBits:
     def test_wide_mask_is_a_set(self):
         pts = [0, 1, 63, 64, 65, 4095, 10_000, 12_345, 20_000]
@@ -525,6 +532,31 @@ class TestBits:
     def test_dense_wide_mask(self):
         b = Bits((1 << 30_000) - 1)
         assert len(b) == 30_000 and list(b) == list(range(30_000))
+
+    # Iteration walks every bit position in C when at least one bit in eight
+    # is set and jumps between set bits otherwise: 1 << 7 is the sparsest
+    # mask on the walking side, 1 << 8 the densest single bit past it.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**3000 - 1)
+        | st.sets(st.integers(0, 3000), max_size=12).map(lambda pts: sum(1 << x for x in pts))
+    )
+    @example(0)
+    @example(1 << 7)
+    @example(1 << 8)
+    @example(1 << 99_999)
+    @example((1 << 100_000) - 1)
+    @example(_WIDE_DENSE)
+    @example(_WIDE_SPARSE)
+    def test_iteration_lists_the_set_bits(self, x):
+        assert list(Bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+    @pytest.mark.parametrize("mask", [_WIDE_DENSE, _WIDE_SPARSE], ids=["dense", "sparse"])
+    def test_wide_low_part_round_trips(self, mask):
+        low = [x for x, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+        s = make_epset(10**5, 6, (1, 4), low)
+        assert s.threshold == 10**5
+        assert parse_epset(render_epset(s)) == s
 
     def test_fields_are_masks(self):
         s = make_epset(9, 3, (0,), {1, 6})
