@@ -358,38 +358,13 @@ class ChartStats:
     defect: Card
     dom: EPSet
     im: EPSet
-    support: EPSet | None
 
 
 @lru_cache(maxsize=65536)
 def stats(c: Chart) -> ChartStats:
     dom = dom_set(c)
     im = im_set(c)
-    rank = im.card()
-    collapse = dom.complement().card()
-    defect = im.complement().card()
-    support = None
-    if dom == NATURALS and im == NATURALS:
-        support = _support(c)
-    return ChartStats(rank, collapse, defect, dom, im, support)
-
-
-def _support(c: Chart) -> EPSet:
-    """Moved points of a permutation chart: the moved pairs and the sources
-    of non-identity pieces, united per step as in `dom_set`, less the one
-    point an affine piece may fix (pieces are disjoint, so one subtraction)."""
-    moving = [pc for pc in c.pieces if not pc.is_identity()]
-    fixed = []
-    for pc in moving:
-        if pc.src.step != pc.dst.step:
-            num = pc.dst.first * pc.src.step - pc.src.first * pc.dst.step
-            den = pc.src.step - pc.dst.step
-            if num % den == 0 and (x := num // den) in pc.src and pc.apply(x) == x:
-                fixed.append(x)
-    parts = unions_by_step(pc.src for pc in moving)
-    parts.append(from_finite(x for x, y in c.pairs if x != y))
-    moved = union_all(parts)
-    return moved.difference(from_finite(fixed)) if fixed else moved
+    return ChartStats(im.card(), dom.complement().card(), im.complement().card(), dom, im)
 
 
 def is_permutation(c: Chart) -> bool:
@@ -437,11 +412,16 @@ def identity_on(s: EPSet) -> Chart:
 
 def transposition(u: int, v: int) -> Chart:
     """The swap of u and v in canonical form: the swap, the fixed points below
-    top = max(u, v) + 1, and the identity from top on; top is mask-guarded."""
+    top = max(u, v) + 1, and the identity from top on.  Those are top pairs,
+    so top is mask-guarded and then refused above MAX_DEMOTED."""
     if u == v:
         raise ParameterError("transposition needs two distinct points")
     top = max(u, v) + 1
     _guard(top, 1)
+    if top > MAX_DEMOTED:
+        raise ResourceGuardError(
+            f"transposition of {u} and {v} would hold {top} pairs, more than MAX_DEMOTED = {MAX_DEMOTED}"
+        )
     fixed = ((x, x) for x in range(top) if x != u and x != v)
     return make_chart(((u, v), (v, u), *fixed), (Piece(Prog(top, 1), Prog(top, 1)),))
 

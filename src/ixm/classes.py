@@ -31,17 +31,14 @@ from .chart import (
     image_of_set,
     invert,
     is_partial_identity,
-    is_permutation,
     make_chart,
     stats,
     transposition,
 )
-from .epset import EPSet, NATURALS, Prog, from_finite, from_prog, render_ints, residue_class
+from .epset import EMPTY, EPSet, NATURALS, Prog, from_finite, from_prog, render_ints, residue_class
 from .errors import InternalError, ParameterError, ParseError, UnsupportedWitnessError
 from .partition_action import (
     FinPartition,
-    almost_block_stabilises,
-    block_stabilises,
     mod_partition,
     parse_partition,
     rel_dom_full,
@@ -226,12 +223,9 @@ def _quantified_stab(uf, f: Chart) -> bool:
     """Evaluate the set-level biconditional on a structured family of test
     sets through the image machinery alone."""
     candidates = [NATURALS, stats(f).dom, stats(f).im]
-    if is_principal(uf):
-        candidates.append(from_finite([uf.point]))
-    else:
-        for j in (1, 2, 3, 4):
-            m = uf.base_modulus * j
-            candidates.append(residue_class(uf.residue_at(m), m))
+    for j in (1, 2, 3, 4):
+        m = uf.base_modulus * j
+        candidates.append(residue_class(uf.residue_at(m), m))
     for piece in f.pieces:
         src = from_prog(piece.src)
         candidates.append(src)
@@ -243,31 +237,6 @@ def _quantified_stab(uf, f: Chart) -> bool:
         uf_contains(uf, s) == uf_contains(uf, image_of_set(f, s))
         for s in candidates
     )
-
-
-# -- Stabilisers --------------------------------------------------------------------
-
-
-def in_stabiliser(kind: str, param, f: Chart) -> bool:
-    """Membership of f in a permutation-group stabiliser.
-
-    Kinds: 'pointwise' and 'setwise' take a set; 'blocks' and
-    'blocks-almost' take a partition; 'filter' takes an ultrafilter
-    oracle.  Non-permutations are never members.
-    """
-    if not is_permutation(f):
-        return False
-    if kind == "pointwise":
-        return stats(f).support.intersect(param).is_empty()
-    if kind == "setwise":
-        return image_of_set(f, param) == param
-    if kind == "blocks":
-        return block_stabilises(param, f)
-    if kind == "blocks-almost":
-        return almost_block_stabilises(param, f)
-    if kind == "filter":
-        return stabilises_filter(param, f, check_witness=False)[0]
-    raise ParameterError(f"unknown stabiliser kind {kind!r}")
 
 
 # -- Separating witnesses -------------------------------------------------------------
@@ -429,10 +398,8 @@ def _w_p_p(c1: ClassId, c2: ClassId) -> Chart:
 
 
 def _accepted_class(uf) -> EPSet:
-    if isinstance(uf, ResidueTower):
-        modulus = uf.base_modulus
-        return residue_class(uf.residue_at(modulus), modulus)
-    raise ParameterError("only tower oracles have an accepted residue class")
+    modulus = uf.base_modulus
+    return residue_class(uf.residue_at(modulus), modulus)
 
 
 def _stab_with_defect(uf) -> Chart:
@@ -584,8 +551,6 @@ def _block_mixer(p: FinPartition, fixed: EPSet | None = None) -> Chart:
     """A permutation mixing blocks 0 and 1 while fixing the given finite
     set pointwise; its block relation has full domain and image but is not
     a permutation."""
-    from .epset import EMPTY
-
     fixed = fixed if fixed is not None else EMPTY
     b0 = p.blocks[0].difference(fixed)
     b1 = p.blocks[1].difference(fixed)

@@ -57,6 +57,7 @@ from .finite_model import (
     parse_fchart,
     predicted_finite_maximals,
     render_fchart,
+    sym_group,
 )
 from .laws import check_conditions, run_suite, suite_names
 from .partition_action import (
@@ -273,8 +274,6 @@ def _cmd_laws(args) -> int:
 def _cmd_conditions(args) -> int:
     gens = None
     if args.group == "sym":
-        from .finite_model import sym_group
-
         gens = sym_group(args.n)
     rep = check_conditions(args.n, group_gens=gens)
     if args.format == "records":

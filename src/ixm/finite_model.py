@@ -12,7 +12,7 @@ map u becomes an ``operator.itemgetter`` that reads ``v + (None,)``, so a
 whole row of products u*v is one ``map`` call, one Python step per row and
 one C call per product.  There is one closure loop, ``_close``, which runs
 on generators whose padded maps and rows are already built:
-``semigroup_closure`` builds them for its own call, and ``is_maximal``
+``fchart_closure`` builds them for its own call, and ``is_maximal``
 builds the candidate's once and shares them across its |U - M| closures,
 adding one row per closure.  ``fchart_compose`` is the pointwise product
 for single pairs.
@@ -164,42 +164,38 @@ def partial_identities(n: int) -> frozenset:
 # -- Generic closure ----------------------------------------------------------
 
 
-def semigroup_closure(gens, base=frozenset(), stop: int | None = None) -> frozenset:
-    """The subsemigroup generated by ``gens`` together with ``base``.
+def fchart_closure(gens) -> frozenset:
+    """The subsemigroup generated by ``gens``.
 
-    ``base`` must already be closed: products of two base elements are
-    never formed.  Every new element a is multiplied on both sides by each
-    generator, the base elements included, which reaches every word in
-    them.  The products a*g form one row, ``map(_row(a), padded)``; the
-    products g*a call each generator's own row on the padded a, built once
-    per call.  In the first round the new elements are the generators
-    outside ``base``, so a product of two of them is formed once, as a*g:
-    g*a is formed when g is the new element.  With ``stop`` set, the search
-    ends as soon as at least that many elements are known, so the result
-    may then fall short of the closure; to ask "is this everything?" pass
-    the size of everything.  Maps on different numbers of points are
-    refused with ``ParameterError``.
+    Every new element a is multiplied on both sides by each generator,
+    which reaches every word in them.  The products a*g form one row,
+    ``map(_row(a), padded)``; the products g*a call each generator's own
+    row on the padded a, built once per call.  In the first round the new
+    elements are the generators themselves, so a product of two of them is
+    formed once, as a*g: g*a is formed when g is the new element.  Maps on
+    different numbers of points are refused with ``ParameterError``.
     """
-    elements = set(base)
-    frontier = [g for g in dict.fromkeys(gens) if g not in elements]
-    sizes = sorted({len(g) for g in chain(elements, frontier)})
+    frontier = list(dict.fromkeys(gens))
+    sizes = sorted({len(g) for g in frontier})
     if len(sizes) > 1:
         raise ParameterError(
             f"maps on {sizes[0]} and {sizes[-1]} points cannot be multiplied"
         )
-    multipliers = [*elements, *frontier]
-    elements.update(frontier)
-    padded = [g + (None,) for g in multipliers]
-    rows = [_row(g) for g in multipliers]
-    return frozenset(_close(elements, frontier, padded, rows, len(elements) - len(frontier), stop))
+    padded = [g + (None,) for g in frontier]
+    rows = [_row(g) for g in frontier]
+    return frozenset(_close(set(frontier), frontier, padded, rows, 0, None))
 
 
 def _close(elements: set, frontier: list, padded: list, rows: list, base_size: int, stop) -> set:
-    """The closure loop of ``semigroup_closure``, on prepared generators.
+    """The closure loop of ``fchart_closure`` and ``is_maximal``, on
+    prepared generators.
 
-    ``elements`` holds the base and the new generators ``frontier``;
+    ``elements`` holds a closed base and the new generators ``frontier``;
     ``padded`` and ``rows`` list every generator, the ``base_size`` base
-    elements first.  Grows ``elements`` in place and returns it.
+    elements first.  Products of two base elements are never formed.
+    Grows ``elements`` in place and returns it; with ``stop`` set, it
+    returns as soon as at least ``stop`` elements are known, so the result
+    may then fall short of the closure.
     """
     limit = float("inf") if stop is None else stop
     left = rows[:base_size]
@@ -216,10 +212,6 @@ def _close(elements: set, frontier: list, padded: list, rows: list, base_size: i
         frontier = fresh
         left = rows
     return elements
-
-
-def fchart_closure(gens) -> frozenset:
-    return semigroup_closure(gens)
 
 
 def is_closed(elements) -> bool:
@@ -359,9 +351,9 @@ def maximal_subgroups(n: int) -> list[frozenset]:
     whole = frozenset(perms)
     subgroups = {frozenset({identity_fchart(n)})}
     for g in perms:
-        subgroups.add(semigroup_closure({g}))
+        subgroups.add(fchart_closure({g}))
         for h in perms:
-            subgroups.add(semigroup_closure({g, h}))
+            subgroups.add(fchart_closure({g, h}))
     proper = [s for s in subgroups if s != whole]
     maximal = [
         s
@@ -430,7 +422,7 @@ def completeness_search(n: int) -> SearchResult:
     maximal = []
     for k in range(n, -1, -1):
         rest = frozenset(u for u in universe if fchart_rank(u) != k)
-        base = semigroup_closure(rest)
+        base = fchart_closure(rest)
         if base == universe:
             continue
         if k == n:

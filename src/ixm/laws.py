@@ -57,7 +57,6 @@ from .classes import (
     in_class,
     in_class_v_alt,
     in_F_ideal,
-    in_stabiliser,
     render_class,
     separating_witness,
 )
@@ -105,6 +104,7 @@ from .partition_action import (
     BinRel,
     FinPartition,
     all_relations,
+    almost_block_stabilises,
     block_evader,
     block_shuffle,
     block_stabilises,
@@ -371,10 +371,10 @@ def _master_pool(rng, extra: int = 40) -> list[Chart]:
     return out
 
 
-def _members(rng, c: ClassId, pool, want: int = 12) -> list[Chart]:
+def _members(rng, c: ClassId, pool) -> list[Chart]:
     ms = [f for f in pool if _in(c, f)]
     tries = 0
-    while len(ms) < want and tries < 200:
+    while len(ms) < 12 and tries < 200:
         tries += 1
         f = sample_in_class(rng, c)
         if f not in ms:
@@ -382,8 +382,8 @@ def _members(rng, c: ClassId, pool, want: int = 12) -> list[Chart]:
     return ms
 
 
-def _charts_agree(a: Chart, b: Chart, hi: int = 240) -> bool:
-    for x in range(hi):
+def _charts_agree(a: Chart, b: Chart) -> bool:
+    for x in range(240):
         if apply_chart(a, x) != apply_chart(b, x):
             return False
     return dom_set(a) == dom_set(b)
@@ -984,7 +984,7 @@ def _suite_rho_laws(ctx, rng, cases):
         )
         moved = compose(shuf, transposition(0, 1))
         ctx.check(
-            in_stabiliser("blocks-almost", p, moved) or not is_permutation(moved),
+            not is_permutation(moved) or almost_block_stabilises(p, moved),
             f"case {i}: finite disturbance breaks the almost-stabiliser",
         )
         ac = ClassId("A", "meet", partition=p)
@@ -1004,7 +1004,7 @@ def _suite_padding(ctx, rng, cases):
             continue
         ctx.check(is_permutation(a), f"exact case {i}: padding is not a permutation")
         ctx.check(
-            in_stabiliser("blocks", p, a),
+            is_permutation(a) and block_stabilises(p, a),
             f"exact case {i}: padding moves a point across blocks",
         )
         ctx.equal(
@@ -1437,7 +1437,7 @@ class ConditionReport:
         return f"{verdict} conditions n={self.n}: {parts}"
 
 
-def check_conditions(n: int, family=None, group_gens=None) -> ConditionReport:
+def check_conditions(n: int, group_gens=None) -> ConditionReport:
     """Audit a candidate family of subsets of the finite chart monoid.
 
     The four mechanical conditions: each member contains the reference
@@ -1448,9 +1448,9 @@ def check_conditions(n: int, family=None, group_gens=None) -> ConditionReport:
 
     ``group_gens`` generates the reference inverse semigroup (default:
     the identity together with everything of rank below the ground set
-    size minus one, which lies inside every predicted candidate).  When
-    ``family`` is omitted, the predicted candidates that contain the
-    reference semigroup are used.
+    size minus one, which lies inside every predicted candidate).  The
+    family audited is the predicted candidates that contain the reference
+    semigroup.
     """
     if n > 5:
         raise ResourceGuardError("condition checks support ground sets up to 5")
@@ -1459,21 +1459,18 @@ def check_conditions(n: int, family=None, group_gens=None) -> ConditionReport:
     else:
         group = fchart_closure(group_gens)
         group = group | frozenset(fchart_invert(u) for u in group)
+    if not 2 <= n <= 4:
+        raise ParameterError(
+            "default candidate families are available for ground sets 2 to 4"
+        )
+    preds = predicted_finite_maximals(n)
+    family = [(s.label, s.elements) for s in preds if group <= s.elements]
     filtered = ""
-    if family is None:
-        if not 2 <= n <= 4:
-            raise ParameterError(
-                "default candidate families are available for ground sets 2 to 4"
-            )
-        preds = predicted_finite_maximals(n)
-        family = [(s.label, s.elements) for s in preds if group <= s.elements]
-        if len(family) != len(preds):
-            filtered = (
-                f"; {len(preds) - len(family)} predicted candidate(s) were dropped "
-                "because they do not contain the reference semigroup"
-            )
-    else:
-        family = [(f"member-{i}", frozenset(m)) for i, m in enumerate(family)]
+    if len(family) != len(preds):
+        filtered = (
+            f"; {len(preds) - len(family)} predicted candidate(s) were dropped "
+            "because they do not contain the reference semigroup"
+        )
     universe = frozenset(all_fcharts(n))
     members = [m for _, m in family]
 

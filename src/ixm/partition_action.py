@@ -31,11 +31,12 @@ from .chart import (
     identity_on,
     im_set,
     image_of_set,
+    is_permutation,
     is_total,
     preimage_of_set,
     stats,
 )
-from .epset import EPSet, NATURALS, residue_class, union_all
+from .epset import EPSet, NATURALS, parse_epset, render_epset, residue_class, union_all
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 
@@ -93,8 +94,6 @@ def make_partition(blocks) -> FinPartition:
 def render_partition(p: FinPartition) -> str:
     if p.modulus is not None:
         return f"part mod {p.modulus}"
-    from .epset import render_epset
-
     return "part blocks " + " | ".join(render_epset(b) for b in p.blocks)
 
 
@@ -109,8 +108,6 @@ def parse_partition(text: str) -> FinPartition:
             raise ParseError(f"modulus must be an integer >= 2: {text!r}")
         return mod_partition(int(arg))
     if body.startswith("blocks "):
-        from .epset import parse_epset
-
         parts = [parse_epset(chunk.strip()) for chunk in body[7:].split("|")]
         try:
             return make_partition(parts)
@@ -133,10 +130,6 @@ class BinRel:
         return frozenset(
             (i, j) for i in range(self.n) for j in range(self.n) if self.rows[i] >> j & 1
         )
-
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return 0 <= i < self.n and 0 <= j < self.n and bool(self.rows[i] >> j & 1)
 
 
 def rel_from_pairs(n: int, pairs) -> BinRel:
@@ -281,8 +274,6 @@ def _rho_mod(n: int, f: Chart) -> BinRel:
 
 def block_stabilises(p: FinPartition, f: Chart) -> bool:
     """Does the permutation f map every block onto a block?"""
-    from .chart import is_permutation
-
     if not is_permutation(f):
         return False
     targets = []
@@ -298,8 +289,6 @@ def block_stabilises(p: FinPartition, f: Chart) -> bool:
 def almost_block_stabilises(p: FinPartition, f: Chart) -> bool:
     """Does the permutation f map every block onto a block up to finitely
     many points?"""
-    from .chart import is_permutation
-
     if not is_permutation(f):
         return False
     targets = []
@@ -528,21 +517,17 @@ def all_relations(n: int) -> list[BinRel]:
 
 def canonical_rel(r: BinRel) -> BinRel:
     """Least representative of r under relabelling rows and columns by
-    permutations (two-sided symmetric group action)."""
-    best = None
-    for pi in permutations(range(r.n)):
-        permuted_cols = []
-        for row in r.rows:
-            out = 0
-            for j in range(r.n):
-                if row >> j & 1:
-                    out |= 1 << pi[j]
-            permuted_cols.append(out)
-        for tau in permutations(range(r.n)):
-            rows = tuple(permuted_cols[tau[i]] for i in range(r.n))
-            if best is None or rows < best:
-                best = rows
-    return BinRel(r.n, best)
+    permutations (two-sided symmetric group action).  For each column
+    relabelling pi the least row order is the sorted one, so only the n!
+    relabellings pi are tried."""
+    cols = [[j for j in range(r.n) if row >> j & 1] for row in r.rows]
+    return BinRel(
+        r.n,
+        min(
+            tuple(sorted(sum(1 << pi[j] for j in js) for js in cols))
+            for pi in permutations(range(r.n))
+        ),
+    )
 
 
 # -- Evading the block action ---------------------------------------------------------
@@ -602,10 +587,7 @@ def _token_chart(p: FinPartition, token, g: Chart, h: Chart) -> tuple[str, Chart
         return ("g", g)
     if token == "h":
         return ("h", h)
-    kind, pi = token
-    if kind != "perm":
-        raise ParameterError(f"unknown token {token!r}")
-    return ("stab", block_shuffle(p, pi))
+    return ("stab", block_shuffle(p, token[1]))
 
 
 def _realize_word(p: FinPartition, tokens, g: Chart, h: Chart):

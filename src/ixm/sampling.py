@@ -70,18 +70,18 @@ def random_moiety(rng: random.Random) -> EPSet:
 # -- Charts ------------------------------------------------------------------
 
 
-def random_chart(rng: random.Random, pieces_max: int = 3, pairs_max: int = 4) -> Chart:
+def random_chart(rng: random.Random) -> Chart:
     pieces: list[Piece] = []
     pairs: list[tuple[int, int]] = []
     chart = make_chart((), ())
-    for _ in range(rng.randint(0, pieces_max)):
+    for _ in range(rng.randint(0, 3)):
         candidate = Piece(random_prog(rng), random_prog(rng))
         try:
             chart = make_chart(pairs, pieces + [candidate])
         except InjectivityError:
             continue
         pieces.append(candidate)
-    for _ in range(rng.randint(0, pairs_max)):
+    for _ in range(rng.randint(0, 4)):
         candidate = (rng.randrange(MAX_FIRST), rng.randrange(MAX_FIRST))
         try:
             chart = make_chart(pairs + [candidate], pieces)
@@ -200,10 +200,10 @@ def random_partition(rng: random.Random) -> FinPartition:
 # -- Class membership sampling ----------------------------------------------------
 
 
-def sample_in_class(rng: random.Random, c: ClassId, tries: int = 60) -> Chart:
+def sample_in_class(rng: random.Random, c: ClassId) -> Chart:
     """A chart belonging to the class: rejection sampling over the mixed
     generator with a guaranteed fallback."""
-    for _ in range(tries):
+    for _ in range(60):
         f = random_mixed(rng)
         if in_class(c, f):
             return f

@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from .cardinal import ALEPH0, fin
 from .chart import Chart, apply_chart, dom_set, im_set, image_of_set
-from .epset import EPSet, NATURALS, Prog, from_finite, from_prog
+from .epset import EPSet, NATURALS, Prog, _primes, from_finite, from_prog
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = _MR_BASES[:6]
 MAX_PRIME_TEST = 3317044064679887385961981  # Miller–Rabin on _MR_BASES is exact below this
 
 
@@ -67,15 +68,14 @@ def _is_prime(p: int) -> bool:
 
 
 def _factorize(m: int) -> dict[int, int]:
+    """The prime factorisation of m, as prime -> exponent."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    for p in _primes(m):
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        out[p] = k
     return out
 
 
@@ -190,8 +190,6 @@ def uf_contains(f, s: EPSet) -> bool:
 
 def uf_min(f):
     """Least cardinality of an accepted set."""
-    from .cardinal import ALEPH0, fin
-
     if isinstance(f, Principal):
         return fin(1)
     if isinstance(f, ResidueTower):
@@ -266,7 +264,7 @@ def _piece_witness(f: ResidueTower, piece) -> EPSet:
     if q == q2:
         drift = abs(b - a)
     if drift:
-        primes |= set(_factorize(drift))
+        primes |= set(_primes(drift))
     bases = [lcm(q, q2) * j for j in range(1, 49)]
     for p in sorted(primes):
         pk = p

@@ -57,7 +57,7 @@ from ixm.errors import (
     ParseError,
     ResourceGuardError,
 )
-from ixm.sampling import make_rng, random_chart, random_epset, random_mixed, random_permutation
+from ixm.sampling import make_rng, random_chart, random_epset, random_mixed
 
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
@@ -230,13 +230,10 @@ class TestStats:
     def test_identity(self):
         s = stats(IDENTITY_CHART)
         assert s.rank == ALEPH0 and s.collapse == ZERO and s.defect == ZERO
-        assert s.support == EMPTY
 
     def test_shift(self):
         s = stats(SHIFT)
         assert s.collapse == fin(0) and s.defect == fin(1)
-        # Support is reported only for permutations; the shift misses 0.
-        assert s.support is None
 
     def test_single_statistics(self):
         assert stats(DOUBLE).rank == ALEPH0
@@ -255,13 +252,8 @@ class TestStats:
         assert image_of_set.cache_info().hits >= len(cases)
         assert hits == misses == [_image_oracle(f, s) for f, s in cases]
 
-    def test_support_of_transposition(self):
-        s = stats(transposition(2, 5))
-        assert members(s.support) == {2, 5}
-
-    def test_support_excludes_fixed_point_of_affine_piece(self):
-        # 2t -> 4t fixes exactly 0, so the support of any permutation built
-        # around that piece must exclude 0 while containing 2.
+    def test_affine_piece_with_a_fixed_point_is_a_permutation(self):
+        # 2t -> 4t fixes exactly 0 and sends 2 to 4.
         half = make_chart((), (Piece(Prog(0, 2), Prog(0, 4)),))
         f = chart_union(
             half,
@@ -269,33 +261,6 @@ class TestStats:
         )
         assert is_permutation(f)
         assert apply_chart(f, 0) == 0 and apply_chart(f, 2) == 4
-        sup = stats(f).support
-        assert 0 not in sup and 2 in sup
-
-    def test_support_matches_the_per_piece_union(self):
-        rng = make_rng(47)
-        charts = [random_permutation(rng) for _ in range(300)]
-        charts += [
-            SHIFT,
-            DOUBLE,
-            transposition(0, 9),
-            # Shifts and affine pieces, some sharing a source step, with
-            # and without a fixed point on the piece (0, 8 and 21 are
-            # fixed; 57 solves the rule but is not a source).
-            make_chart(
-                [(1, 1), (3, 5)],
-                (
-                    Piece(Prog(0, 4), Prog(0, 8)),
-                    Piece(Prog(2, 4), Prog(6, 4)),
-                    Piece(Prog(5, 2), Prog(9, 2)),
-                ),
-            ),
-            make_chart((), (Piece(Prog(4, 1), Prog(0, 2)),)),
-            make_chart((), (Piece(Prog(11, 2), Prog(1, 4)), Piece(Prog(30, 2), Prog(3, 4)))),
-            make_chart((), (Piece(Prog(6, 3), Prog(0, 1)),)),
-        ]
-        for c in charts:
-            assert chart_module._support(c) == _support_oracle(c), render_chart(c)
 
     def test_predicates(self):
         assert is_permutation(IDENTITY_CHART)
@@ -304,23 +269,6 @@ class TestStats:
         assert not is_total(ID_EVENS)
         assert is_partial_identity(ID_EVENS) and is_partial_identity(EMPTY_CHART)
         assert not is_partial_identity(SHIFT)
-
-
-def _support_oracle(c):
-    """The moved points as one set per piece: the source of each shift, the
-    source less its one fixed point for an affine piece."""
-    moved = [from_finite(x for x, y in c.pairs if x != y)]
-    for pc in c.pieces:
-        if pc.is_identity():
-            continue
-        src = from_prog(pc.src)
-        if pc.src.step != pc.dst.step:
-            num = pc.dst.first * pc.src.step - pc.src.first * pc.dst.step
-            den = pc.src.step - pc.dst.step
-            if num % den == 0 and (x := num // den) in pc.src and pc.apply(x) == x:
-                src = src.difference(from_finite([x]))
-        moved.append(src)
-    return union_all(moved)
 
 
 class TestSetImages:

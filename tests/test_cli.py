@@ -71,6 +71,14 @@ def test_huge_steps_and_primes_answer_quickly(argv, out, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_far_transposition_witness_is_refused_quickly(capsys):
+    # The witness swaps 0 and 1000001, a transposition of 1,000,002 pairs.
+    start = time.perf_counter()
+    assert main(["class", "witness", "S[mu=aleph0]", "P[gamma={0,1000000};mu=aleph0]"]) == 3
+    assert time.perf_counter() - start < 3.0
+    assert "MAX_DEMOTED = 65536" in capsys.readouterr().err
+
+
 def _two_class_chart(s: int, t: int) -> str:
     # Canonicalises to lcm(s, t) / s + lcm(s, t) / t - 2 pieces of one step.
     return (

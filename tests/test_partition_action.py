@@ -1,8 +1,10 @@
 """Finite partitions of the naturals, block relations and the block relation
 that a chart induces."""
 
+import random
 from dataclasses import replace
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from ixm.chart import IDENTITY_CHART, Piece, make_chart
 from ixm.epset import Prog, residue_class
 from ixm.errors import ParameterError, ParseError
 from ixm.partition_action import (
+    BinRel,
     _rho_mod,
     all_relations,
     canonical_rel,
@@ -159,6 +162,28 @@ def value_of(word, n, rho, sigma):
     for label in word:
         acc = rel_compose(acc, gens[label] if label in gens else perm_rel(label[1]))
     return acc
+
+
+def canonical_rel_oracle(r):
+    """The least row tuple over every column and every row relabelling."""
+    perms = list(permutations(range(r.n)))
+    row_orders = [itemgetter(*tau) for tau in perms]
+    best = None
+    for pi in perms:
+        cols = [sum(1 << pi[j] for j in range(r.n) if row >> j & 1) for row in r.rows]
+        least = min(order(cols) for order in row_orders)
+        if best is None or least < best:
+            best = least
+    return best
+
+
+class TestCanonicalRel:
+    def test_matches_every_relabelling(self):
+        rng = random.Random(61)
+        rels = all_relations(3)
+        rels += [BinRel(n, tuple(rng.randrange(1 << n) for _ in range(n))) for n in (4, 5) for _ in range(300)]
+        for r in rels:
+            assert canonical_rel(r).rows == canonical_rel_oracle(r), r
 
 
 class TestRelationWordSearch:
