@@ -10,13 +10,18 @@ computed exactly.
 
 Composition is written left to right throughout: (x)(f * g) = ((x)f)g.
 
-Charts must be built through `make_chart`, which validates injectivity and
-canonicalises: pieces are regrouped by the affine rule they apply, each
-group's sources are expressed with the minimal period, every piece starts at
-the least point from which its whole residue class follows the rule, and
-whatever sits before that start is demoted to plain pairs.  The result
-depends only on the map itself, so structural equality of charts is
-extensional equality.
+Injectivity is checked where a chart enters the program: `make_chart`, and
+`parse_chart` and `chart_union` through it, run `_validate` on their input.
+`compose`, `invert`, `identity_on`, `bijection_between` and
+`extend_to_bijection` build maps that are injective by construction and go
+straight to the private `_chart`; a property test over their output
+(tests/test_chart.py, `TestInjectiveByConstruction`) carries the check.
+Every chart is canonicalised: pieces are regrouped by the affine rule they
+apply, each group's sources are expressed with the minimal period, every
+piece starts at the least point from which its whole residue class follows
+the rule, and whatever sits before that start is demoted to plain pairs.
+The result depends only on the map itself, so structural equality of charts
+is extensional equality.
 """
 
 from __future__ import annotations
@@ -203,6 +208,9 @@ def _canonicalize(
 
 
 def make_chart(pairs, pieces) -> Chart:
+    """The chart of the given pairs and pieces, checked as input: each point
+    a natural sent to one place, then `_validate` for injectivity.  Builders
+    of maps injective by construction call `_chart` instead."""
     pieces = list(pieces)
 
     pair_map: dict[int, int] = {}
@@ -213,15 +221,19 @@ def make_chart(pairs, pieces) -> Chart:
         if x in pair_map and pair_map[x] != y:
             raise InjectivityError(f"point {x} is sent to both {pair_map[x]} and {y}")
         pair_map[x] = y
+    _validate(frozenset(pair_map.items()), pieces)
+    return _chart(pair_map, pieces)
 
-    pair_set = frozenset(pair_map.items())
-    _validate(pair_set, pieces)
+
+def _chart(pair_map: dict[int, int], pieces: list[Piece]) -> Chart:
+    """The canonical chart of an injective map, unchecked on input."""
     out_map, canonical = _canonicalize(pair_map, pieces)
-    # Input already canonical (up to piece order) was validated above, so
-    # the postcondition runs only if canonicalisation changed something; a
-    # clash there is a fault of `_canonicalize`, not of the caller.
+    pair_set = frozenset(out_map.items())
+    # Input already canonical (up to piece order) is injective, so the
+    # postcondition runs only if canonicalisation changed something; a
+    # clash there is a fault of `_canonicalize` or of a builder, not of
+    # the user.
     if out_map != pair_map or canonical != sorted(pieces):
-        pair_set = frozenset(out_map.items())
         try:
             _validate(pair_set, canonical)
         except InjectivityError as exc:
@@ -280,16 +292,16 @@ def apply_chart(c: Chart, x: int) -> int | None:
 
 def compose(f: Chart, g: Chart) -> Chart:
     """Left-to-right composition f then g."""
-    pairs = []
+    pairs = {}
     pieces = []
     for x, y in f.pairs:
         z = apply_chart(g, y)
         if z is not None:
-            pairs.append((x, z))
+            pairs[x] = z
     for pf in f.pieces:
         for y, z in g.pairs:
             if y in pf.dst:
-                pairs.append((pf.src.value(pf.dst.index(y)), z))
+                pairs[pf.src.value(pf.dst.index(y))] = z
         for pg in g.pieces:
             mid = progs_intersect(pf.dst, pg.src)
             if mid is None:
@@ -304,18 +316,16 @@ def compose(f: Chart, g: Chart) -> Chart:
                     Prog(pg.dst.value(j0), pg.dst.step * k_g),
                 )
             )
-    return make_chart(pairs, pieces)
+    return _chart(pairs, pieces)
 
 
 def invert(f: Chart) -> Chart:
-    return make_chart(
-        ((y, x) for x, y in f.pairs),
-        (Piece(pc.dst, pc.src) for pc in f.pieces),
-    )
+    return _chart({y: x for x, y in f.pairs}, [Piece(pc.dst, pc.src) for pc in f.pieces])
 
 
 def chart_union(*charts: Chart) -> Chart:
-    """Union of charts with disjoint domains and images."""
+    """Union of charts with disjoint domains and images, checked by
+    `make_chart` (InjectivityError if they meet)."""
     pairs = []
     pieces = []
     for c in charts:
@@ -407,7 +417,7 @@ def _image(s: EPSet, pairs, pieces) -> EPSet:
 
 def identity_on(s: EPSet) -> Chart:
     progs, low = s.decompose()
-    return make_chart(((x, x) for x in low), (Piece(p, p) for p in progs))
+    return _chart({x: x for x in low}, [Piece(p, p) for p in progs])
 
 
 def transposition(u: int, v: int) -> Chart:
@@ -434,7 +444,7 @@ def bijection_between(a: EPSet, b: EPSet) -> Chart:
             f"cannot biject sets of cardinality {ca} and {cb}"
         )
     if ca.finite:
-        return make_chart(zip(a.low, b.low), ())
+        return _chart(dict(zip(a.low, b.low)), [])
 
     progs_a, fin_a = a.decompose()
     progs_b, fin_b = b.decompose()
@@ -457,9 +467,9 @@ def bijection_between(a: EPSet, b: EPSet) -> Chart:
         i = min(range(len(progs_b)), key=lambda j: progs_b[j].first)
         fin_b.append(progs_b[i].first)
         progs_b[i] = Prog(progs_b[i].first + progs_b[i].step, progs_b[i].step)
-    return make_chart(
-        zip(sorted(fin_a), sorted(fin_b)),
-        (Piece(pa, pb) for pa, pb in zip(progs_a, progs_b)),
+    return _chart(
+        dict(zip(sorted(fin_a), sorted(fin_b))),
+        [Piece(pa, pb) for pa, pb in zip(progs_a, progs_b)],
     )
 
 
@@ -481,7 +491,8 @@ def extend_to_bijection(p: Chart, src: EPSet, dst: EPSet) -> Chart:
         )
     if missing_dom.is_empty():
         return p
-    return chart_union(p, bijection_between(missing_dom, missing_im))
+    b = bijection_between(missing_dom, missing_im)
+    return _chart(dict([*p.pairs, *b.pairs]), [*p.pieces, *b.pieces])
 
 
 def sandwich_factorize(h: Chart, f: Chart, g: Chart, y: EPSet) -> Chart:
@@ -529,8 +540,7 @@ def sandwich_factorize(h: Chart, f: Chart, g: Chart, y: EPSet) -> Chart:
     rest_dst = y.difference(im_p).difference(sink)
     closer = bijection_between(rest_src, rest_dst)
 
-    p_prime = chart_union(p, filler, closer)
-    p_full = chart_union(p_prime, identity_on(NATURALS.difference(y)))
+    p_full = chart_union(p, filler, closer, identity_on(NATURALS.difference(y)))
     if compose(compose(f, p_full), g) != h:
         raise InternalError("internal error: factorisation postcondition failed")
     return p_full

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from operator import itemgetter
 
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
@@ -342,18 +342,16 @@ class LabelledSet:
 
 
 def maximal_subgroups(n: int) -> list[frozenset]:
-    """Maximal subgroups of the symmetric group, by exhaustive closure of
-    one- and two-element generating sets (complete for n <= 4, where every
-    subgroup is generated by at most two elements)."""
+    """Maximal subgroups of the symmetric group, by closing each unordered
+    pair {g, h} of permutations once, g = h included (complete for n <= 4,
+    where every subgroup is generated by at most two elements)."""
     if n > 4:
         raise ResourceGuardError("subgroup enumeration is only supported for n <= 4")
     perms = sym_group(n)
     whole = frozenset(perms)
     subgroups = {frozenset({identity_fchart(n)})}
-    for g in perms:
-        subgroups.add(fchart_closure({g}))
-        for h in perms:
-            subgroups.add(fchart_closure({g, h}))
+    for g, h in combinations_with_replacement(perms, 2):
+        subgroups.add(fchart_closure({g, h}))
     proper = [s for s in subgroups if s != whole]
     maximal = [
         s

@@ -1025,3 +1025,45 @@ class TestCanonicalizeAgainstOracle:
         assert validations((), (_ident(0, 2), _ident(1, 2))) == 2
         assert validations([(0, 0)], (_ident(1, 1),)) == 2
         assert validations((), (_ident(0, 2), _ident(103, 2))) == 2
+
+
+# -- Builders whose output is injective by construction ---------------------
+
+
+def _built_by_construction(f, g):
+    """Outputs of every builder that skips `make_chart`'s input check, on
+    charts f and g and the sets they define."""
+    outs = [compose(f, g), compose(g, f), compose(f, invert(g)), compose(invert(f), f), invert(f)]
+    sets = [dom_set(f), im_set(g), dom_set(f).complement(), EVENS.difference(im_set(f))]
+    sets += [from_finite(x for x, _ in f.pairs), from_finite(y for _, y in g.pairs)]
+    outs += [identity_on(s) for s in sets]
+    outs += [bijection_between(a, b) for a in sets for b in sets if a.card() == b.card()]
+    for p in (f, g, compose(f, g)):
+        for src, dst in ((NATURALS, NATURALS), (dom_set(p).union(EVENS), im_set(p).union(ODDS))):
+            if src.difference(dom_set(p)).card() == dst.difference(im_set(p)).card():
+                outs.append(extend_to_bijection(p, src, dst))
+    return outs
+
+
+class TestInjectiveByConstruction:
+    """`compose`, `invert`, `identity_on`, `bijection_between` and
+    `extend_to_bijection` skip `make_chart`'s injectivity check; here their
+    output must pass it and be the chart that `make_chart` builds."""
+
+    @staticmethod
+    def check(f, g):
+        for out in _built_by_construction(f, g):
+            chart_module._validate(out.pairs, list(out.pieces))
+            assert make_chart(out.pairs, out.pieces) == out
+
+    @settings(max_examples=30, deadline=None)
+    @given(chart_models(), chart_models())
+    def test_output_passes_the_input_check(self, one, two):
+        (pairs, plain), _, _, _ = one
+        _, (other_pairs, other), _, _ = two
+        self.check(make_chart(pairs, plain), make_chart(*_swapped(other_pairs, other)))
+
+    def test_output_on_random_charts(self):
+        rng = make_rng(83)
+        for _ in range(120):
+            self.check(random_mixed(rng), random_mixed(rng))

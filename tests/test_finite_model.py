@@ -453,6 +453,25 @@ class TestPredictions:
         assert sorted(len(g) for g in groups) == orders
         assert all(is_closed(g) for g in groups)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_maximal_subgroups_close_each_unordered_pair_once(self, n, monkeypatch):
+        perms = sym_group(n)
+        closed = []
+
+        def counting(gens):
+            closed.append(frozenset(gens))
+            return fchart_closure(gens)
+
+        monkeypatch.setattr(finite_model, "fchart_closure", counting)
+        groups = maximal_subgroups(n)
+        assert len(closed) == len(set(closed)) == len(perms) * (len(perms) + 1) // 2
+        # The same groups as closing every ordered pair and every singleton.
+        subgroups = {frozenset(naive_closure({g, h})) for g in perms for h in perms}
+        subgroups.add(frozenset({identity_fchart(n)}))
+        proper = [s for s in subgroups if len(s) < len(perms)]
+        want = [s for s in proper if not any(s < t for t in proper)]
+        assert groups == sorted(want, key=lambda s: (-len(s), sorted(s)))
+
     def test_all_predictions_are_maximal(self):
         for n in (2, 3):
             for fam in predicted_finite_maximals(n):

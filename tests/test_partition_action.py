@@ -1,15 +1,20 @@
 """Finite partitions of the naturals, block relations and the block relation
 that a chart induces."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import permutations, product
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ixm
 from ixm.chart import IDENTITY_CHART, Piece, make_chart
 from ixm.epset import Prog, residue_class
 from ixm.errors import ParameterError, ParseError
@@ -37,6 +42,7 @@ from ixm.partition_action import (
 )
 from ixm.sampling import random_mixed, random_partition
 
+SRC = str(Path(ixm.__file__).resolve().parent.parent)
 DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
 
 
@@ -212,3 +218,41 @@ class TestRelationWordSearch:
             full_relation_word(3, rel_full(2), rel_full(3))
         with pytest.raises(ParameterError):
             full_relation_word(2, rel_full(2), rel_identity(3))
+
+
+# The 11-piece chart that `laws --suite spreader --seed 51000` draws as case 12
+# (printed by `render_chart`).  Spreading it over the residues mod 4 builds a
+# chart of about 16,800 pieces.
+SPREAD_CASE = (
+    "chart { piece (0 mod 11 from 0) -> (5 mod 24 from 0); piece (1 mod 11 from 0) -> (4 mod 6 from 0); "
+    "piece (2 mod 11 from 0) -> (9 mod 24 from 0); piece (3 mod 11 from 0) -> (7 mod 12 from 0); "
+    "piece (4 mod 11 from 0) -> (13 mod 24 from 0); piece (5 mod 11 from 0) -> (0 mod 6 from 1); "
+    "piece (6 mod 11 from 0) -> (17 mod 24 from 0); piece (7 mod 11 from 0) -> (11 mod 12 from 0); "
+    "piece (8 mod 11 from 0) -> (21 mod 24 from 0); piece (9 mod 11 from 0) -> (2 mod 6 from 1); "
+    "piece (10 mod 11 from 0) -> (1 mod 24 from 1); }"
+)
+
+
+class TestDefectSpreader:
+    def test_a_large_spread_finishes_in_time(self):
+        # In a subprocess, so that a slow spread fails the test instead of
+        # hanging the run.
+        code = (
+            "import sys\n"
+            "from ixm.cardinal import ALEPH0\n"
+            "from ixm.chart import im_set, parse_chart\n"
+            "from ixm.epset import NATURALS\n"
+            "from ixm.partition_action import defect_spreader, mod_partition\n"
+            "p = mod_partition(4)\n"
+            "out = defect_spreader(p, parse_chart(sys.argv[1]))\n"
+            "assert out.replay() == out.chart\n"
+            "missing = NATURALS.difference(im_set(out.chart))\n"
+            "assert all(missing.intersect(b).card() == ALEPH0 for b in p.blocks)\n"
+            "print(len(out.chart.pieces))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", code, SPREAD_CASE], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 10_000
