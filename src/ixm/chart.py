@@ -11,7 +11,8 @@ computed exactly.
 Composition is written left to right throughout: (x)(f * g) = ((x)f)g.
 
 Injectivity is checked where a chart enters the program: `make_chart`, and
-`parse_chart` and `chart_union` through it, run `_validate` on their input.
+`parse_chart` and `chart_union` through it, run `_validate` on their input
+(`parse_chart` reports a clash as a `ParseError`, like the other literals).
 `compose`, `invert`, `identity_on`, `bijection_between` and
 `extend_to_bijection` build maps that are injective by construction and go
 straight to the private `_chart`; a property test over their output
@@ -609,4 +610,7 @@ def parse_chart(text: str) -> Chart:
                 pieces.append(Piece(_parse_prog(src), _parse_prog(dst)))
             else:
                 raise ParseError(f"unknown chart item {item!r}")
-    return make_chart(pairs, pieces)
+    try:
+        return make_chart(pairs, pieces)
+    except InjectivityError as exc:
+        raise ParseError(str(exc)) from exc

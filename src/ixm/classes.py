@@ -583,13 +583,6 @@ def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
     return transposition(anchor, other)
 
 
-def _mod_of(p: FinPartition) -> int | None:
-    n = p.n
-    if all(p.blocks[i] == residue_class(i, n) for i in range(n)):
-        return n
-    return None
-
-
 def _class_cycle(u: int, v: int, w: int, m: int) -> Chart:
     """The permutation cycling the classes u -> v -> w -> u at modulus m by
     translation and fixing everything else pointwise."""
@@ -605,7 +598,7 @@ def _class_cycle(u: int, v: int, w: int, m: int) -> Chart:
 
 def _w_a_a(c1: ClassId, c2: ClassId) -> Chart:
     if c1.partition != c2.partition:
-        n1, n2 = _mod_of(c1.partition), _mod_of(c2.partition)
+        n1, n2 = c1.partition.modulus, c2.partition.modulus
         if n1 is None or n2 is None:
             _unsupported(c1, c2, "witnesses need residue partitions")
         if n1 % n2 == 0:
@@ -660,7 +653,7 @@ def _w_a_v(c1: ClassId, c2: ClassId) -> Chart:
     """A block-preserving permutation that moves an accepted set of the
     oracle onto a rejected one: swap the halves of the oracle's class at a
     modulus fine enough to sit inside a single block."""
-    n = _mod_of(c1.partition)
+    n = c1.partition.modulus
     if n is None:
         _unsupported(c1, c2, "witnesses need residue partitions")
     acc = _accepted_class(c2.uf)

@@ -6,6 +6,13 @@ stats/apply), ``class`` (member/witness/dual/admissible/exclude), ``uf``
 (classify/completeness/closure/minext), ``laws`` (suite runner) and
 ``conditions`` (candidate-family audit).
 
+Each action of the first five is one entry of ``_ACTIONS``: a handler whose
+parameters after the parsed arguments are its operands (``finite closure``
+takes any number), so ``_run_action`` reads the operand count from its
+signature, and whose result is the exit code (None for 0).  Handlers look up ``parse_*``, ``render_*`` and ``print`` by name
+when they run and the table never holds those functions, so a tracer that
+patches these names in this module sees every call.
+
 Exit codes: 0 success, 1 check failures, 2 usage or parse errors,
 3 resource guard, 4 internal error, 141 reader closed standard output early.
 """
@@ -15,9 +22,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
+from itertools import permutations
 
 from .cardinal import render_card
 from .chart import (
@@ -57,7 +66,6 @@ from .finite_model import (
     parse_fchart,
     predicted_finite_maximals,
     render_fchart,
-    sym_group,
 )
 from .laws import check_conditions, run_suite, suite_names
 from .partition_action import (
@@ -86,240 +94,212 @@ def _emit(records, fmt: str, human) -> None:
         human()
 
 
-def _cmd_chart(args) -> int:
-    if args.action == "parse":
-        c = parse_chart(args.arg[0])
-        print(render_chart(c))
-    elif args.action == "compose":
-        c = compose(parse_chart(args.arg[0]), parse_chart(args.arg[1]))
-        print(render_chart(c))
-    elif args.action == "invert":
-        print(render_chart(invert(parse_chart(args.arg[0]))))
-    elif args.action == "apply":
-        c = parse_chart(args.arg[0])
-        try:
-            x = int(args.arg[1])
-        except ValueError as exc:
-            raise ParseError(f"point must be an integer, got {args.arg[1]!r}") from exc
-        if x < 0:
-            raise ParameterError(f"point must be a natural, got {x}")
-        y = apply_chart(c, x)
-        print("undefined" if y is None else y)
-    else:  # stats
-        c = parse_chart(args.arg[0])
-        st = stats(c)
-        print(f"rank={render_card(st.rank)}")
-        print(f"collapse={render_card(st.collapse)}")
-        print(f"defect={render_card(st.defect)}")
-        print(f"dom={render_epset(st.dom)}")
-        print(f"im={render_epset(st.im)}")
-        print(f"total={'yes' if is_total(c) else 'no'}")
-        print(f"permutation={'yes' if is_permutation(c) else 'no'}")
-        print(f"partial-identity={'yes' if is_partial_identity(c) else 'no'}")
-    return 0
+def _chart_apply(args, chart, point) -> None:
+    c = parse_chart(chart)
+    try:
+        x = int(point)
+    except ValueError as exc:
+        raise ParseError(f"point must be an integer, got {point!r}") from exc
+    if x < 0:
+        raise ParameterError(f"point must be a natural, got {x}")
+    y = apply_chart(c, x)
+    print("undefined" if y is None else y)
 
 
-def _cmd_class(args) -> int:
-    if args.action == "member":
-        c = parse_class(args.arg[0])
-        f = parse_chart(args.arg[1])
-        print("true" if in_class(c, f) else "false")
-        return 0
-    if args.action == "witness":
-        c1, c2 = parse_class(args.arg[0]), parse_class(args.arg[1])
-        try:
-            w = separating_witness(c1, c2)
-        except UnsupportedWitnessError as e:
-            print(f"refused: {e}")
-            return 1
-        print(render_chart(w))
-        return 0
-    if args.action == "dual":
-        print(render_class(dual_class(parse_class(args.arg[0]))))
-        return 0
-    if args.action == "admissible":
-        ok, why = admissibility(parse_class(args.arg[0]))
-        print("admissible" if ok else f"degenerate: {why}")
-        return 0
-    # exclude
-    c = excluding_maximal(parse_chart(args.arg[0]))
-    print(render_class(c))
-    return 0
+def _chart_stats(args, chart) -> None:
+    c = parse_chart(chart)
+    st = stats(c)
+    print(f"rank={render_card(st.rank)}")
+    print(f"collapse={render_card(st.collapse)}")
+    print(f"defect={render_card(st.defect)}")
+    print(f"dom={render_epset(st.dom)}")
+    print(f"im={render_epset(st.im)}")
+    print(f"total={'yes' if is_total(c) else 'no'}")
+    print(f"permutation={'yes' if is_permutation(c) else 'no'}")
+    print(f"partial-identity={'yes' if is_partial_identity(c) else 'no'}")
 
 
-def _cmd_uf(args) -> int:
-    u = parse_uf(args.arg[0])
-    if args.action == "contains":
-        s = parse_epset(args.arg[1])
-        print("true" if uf_contains(u, s) else "false")
-    elif args.action == "stabilises":
-        f = parse_chart(args.arg[1])
-        ok, wit = stabilises_filter(u, f)
-        if ok:
-            print("true")
-        else:
-            print("false")
-            if wit is not None:
-                print(f"witness={render_epset(wit)}")
-    else:  # min
-        print(render_card(uf_min(u)))
-    return 0
+def _class_witness(args, first, second) -> int | None:
+    c1, c2 = parse_class(first), parse_class(second)
+    try:
+        w = separating_witness(c1, c2)
+    except UnsupportedWitnessError as e:
+        print(f"refused: {e}")
+        return 1
+    print(render_chart(w))
 
 
-def _cmd_rel(args) -> int:
-    if args.action == "rho":
-        p = parse_partition(args.arg[0])
-        f = parse_chart(args.arg[1])
-        print(render_rel(rho_of(p, f)))
-    elif args.action == "compose":
-        r = parse_rel(args.arg[0])
-        s = parse_rel(args.arg[1])
-        print(render_rel(rel_compose(r, s)))
-    else:  # padding
-        p = parse_partition(args.arg[0])
-        f = parse_chart(args.arg[1])
-        g = parse_chart(args.arg[2])
-        print(render_chart(padding_perm(p, f, g)))
-    return 0
+def _class_admissible(args, cls) -> None:
+    ok, why = admissibility(parse_class(cls))
+    print("admissible" if ok else f"degenerate: {why}")
 
 
-def _cmd_finite(args) -> int:
-    if args.action == "classify":
-        preds = predicted_finite_maximals(args.n)
-        records = [
-            {"label": s.label, "size": len(s.elements)} for s in preds
-        ]
-        hash_ = _family_hash(s.elements for s in preds)
+def _uf_stabilises(args, uf, chart) -> None:
+    ok, wit = stabilises_filter(parse_uf(uf), parse_chart(chart))
+    print("true" if ok else "false")
+    if not ok and wit is not None:
+        print(f"witness={render_epset(wit)}")
 
-        def human():
-            for r in records:
-                print(f"predicted {r['label']} size={r['size']}")
-            print(f"count={len(records)} hash={hash_}")
 
-        _emit(records + [{"count": len(records), "hash": hash_}], args.format, human)
-        return 0
-    if args.action == "completeness":
-        res = completeness_search(args.n)
-        preds = {s.elements for s in predicted_finite_maximals(args.n)}
-        found = set(res.maximal)
-        match = found == preds
-        records = [
-            {
-                "n": res.n,
-                "complete": res.complete,
-                "found": len(res.maximal),
-                "found_inverse": len(res.maximal_inverse),
-                "matches_predictions": match,
-                "hash": _family_hash(
-                    sorted(res.maximal, key=lambda m: sorted(map(render_fchart, m)))
-                ),
-                "note": res.note,
-            }
-        ]
+def _finite_classify(args) -> None:
+    preds = predicted_finite_maximals(args.n)
+    records = [{"label": s.label, "size": len(s.elements)} for s in preds]
+    hash_ = _family_hash(s.elements for s in preds)
 
-        def human():
-            r = records[0]
-            print(
-                f"complete={r['complete']} found={r['found']} "
-                f"inverse={r['found_inverse']} matches={r['matches_predictions']} "
-                f"hash={r['hash']}"
-            )
+    def human():
+        for r in records:
+            print(f"predicted {r['label']} size={r['size']}")
+        print(f"count={len(records)} hash={hash_}")
 
-        _emit(records, args.format, human)
-        return 0 if match else 1
-    if args.action == "closure":
-        gens = [parse_fchart(t) for t in args.arg]
-        closed = fchart_closure(gens)
-        for u in sorted(closed, key=render_fchart):
-            print(render_fchart(u))
-        print(f"size={len(closed)}")
-        return 0
-    # minext
-    u = parse_fchart(args.arg[0])
-    v = minimal_extension(u)
-    print("[" + ",".join(str(x) for x in v) + "]")
-    return 0
+    _emit(records + [{"count": len(records), "hash": hash_}], args.format, human)
+
+
+def _finite_completeness(args) -> int:
+    res = completeness_search(args.n)
+    preds = {s.elements for s in predicted_finite_maximals(args.n)}
+    found = set(res.maximal)
+    match = found == preds
+    records = [
+        {
+            "n": res.n,
+            "complete": res.complete,
+            "found": len(res.maximal),
+            "found_inverse": len(res.maximal_inverse),
+            "matches_predictions": match,
+            "hash": _family_hash(
+                sorted(res.maximal, key=lambda m: sorted(map(render_fchart, m)))
+            ),
+            "note": res.note,
+        }
+    ]
+
+    def human():
+        r = records[0]
+        print(
+            f"complete={r['complete']} found={r['found']} "
+            f"inverse={r['found_inverse']} matches={r['matches_predictions']} "
+            f"hash={r['hash']}"
+        )
+
+    _emit(records, args.format, human)
+    return 0 if match else 1
+
+
+def _finite_closure(args, *gens) -> None:
+    closed = fchart_closure([parse_fchart(t) for t in gens])
+    for u in sorted(closed, key=render_fchart):
+        print(render_fchart(u))
+    print(f"size={len(closed)}")
+
+
+# Each verb's actions and their handlers, in help order.
+_ACTIONS = {
+    "chart": {
+        "parse": lambda args, chart: print(render_chart(parse_chart(chart))),
+        "compose": lambda args, f, g: print(render_chart(compose(parse_chart(f), parse_chart(g)))),
+        "invert": lambda args, chart: print(render_chart(invert(parse_chart(chart)))),
+        "apply": _chart_apply,
+        "stats": _chart_stats,
+    },
+    "class": {
+        "member": lambda args, cls, chart: print(
+            "true" if in_class(parse_class(cls), parse_chart(chart)) else "false"
+        ),
+        "witness": _class_witness,
+        "dual": lambda args, cls: print(render_class(dual_class(parse_class(cls)))),
+        "admissible": _class_admissible,
+        "exclude": lambda args, chart: print(render_class(excluding_maximal(parse_chart(chart)))),
+    },
+    "uf": {
+        "contains": lambda args, uf, s: print(
+            "true" if uf_contains(parse_uf(uf), parse_epset(s)) else "false"
+        ),
+        "stabilises": _uf_stabilises,
+        "min": lambda args, uf: print(render_card(uf_min(parse_uf(uf)))),
+    },
+    "rel": {
+        "rho": lambda args, part, chart: print(
+            render_rel(rho_of(parse_partition(part), parse_chart(chart)))
+        ),
+        "compose": lambda args, r, s: print(render_rel(rel_compose(parse_rel(r), parse_rel(s)))),
+        "padding": lambda args, part, f, g: print(
+            render_chart(padding_perm(parse_partition(part), parse_chart(f), parse_chart(g)))
+        ),
+    },
+    "finite": {
+        "classify": _finite_classify,
+        "completeness": _finite_completeness,
+        "closure": _finite_closure,
+        "minext": lambda args, u: print(
+            "[" + ",".join(str(x) for x in minimal_extension(parse_fchart(u))) + "]"
+        ),
+    },
+}
+
+
+def _run_action(args) -> int:
+    handler = _ACTIONS[args.command][args.action]
+    code = handler.__code__
+    want = code.co_argcount - 1
+    if not code.co_flags & inspect.CO_VARARGS and len(args.arg) != want:
+        raise ParameterError(
+            f"{args.command} {args.action} takes {want} operand{'s' * (want != 1)}, "
+            f"got {len(args.arg)}"
+        )
+    return handler(args, *args.arg) or 0
 
 
 def _cmd_laws(args) -> int:
     names = suite_names() if args.suite == "all" else [args.suite]
     bad = False
-    records = []
     for name in names:
         rep = run_suite(name, seed=args.seed, cases=args.cases)
         bad = bad or not rep.ok
-        records.append(
-            {
-                "suite": rep.name,
-                "seed": rep.seed,
-                "cases": rep.cases,
-                "executed": rep.executed,
-                "failures": list(rep.failures),
-                "dropped_failures": rep.dropped_failures,
-                "elapsed_ms": rep.elapsed_ms,
-                "note": rep.note,
-                "hash": rep.content_hash,
-                "ok": rep.ok,
-            }
-        )
-        if args.format == "records":
-            print(json.dumps(records[-1], sort_keys=True))
-        else:
+        record = {
+            "suite": rep.name,
+            "seed": rep.seed,
+            "cases": rep.cases,
+            "executed": rep.executed,
+            "failures": list(rep.failures),
+            "dropped_failures": rep.dropped_failures,
+            "elapsed_ms": rep.elapsed_ms,
+            "note": rep.note,
+            "hash": rep.content_hash,
+            "ok": rep.ok,
+        }
+
+        def human():
             print(rep.summary())
             for f in rep.failures:
                 print(f"  failing input: {f}")
+
+        _emit([record], args.format, human)
     return 1 if bad else 0
 
 
 def _cmd_conditions(args) -> int:
-    gens = None
-    if args.group == "sym":
-        gens = sym_group(args.n)
+    # Lazy, so that a ground set out of range is refused before S_n is listed.
+    gens = permutations(range(args.n)) if args.group == "sym" else None
     rep = check_conditions(args.n, group_gens=gens)
-    if args.format == "records":
-        print(
-            json.dumps(
-                {
-                    "n": rep.n,
-                    "results": [
-                        {"condition": name, "ok": ok, "detail": detail}
-                        for name, ok, detail in rep.results
-                    ],
-                    "note": rep.note,
-                    "ok": rep.ok,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
+    record = {
+        "n": rep.n,
+        "results": [
+            {"condition": name, "ok": ok, "detail": detail}
+            for name, ok, detail in rep.results
+        ],
+        "note": rep.note,
+        "ok": rep.ok,
+    }
+
+    def human():
         print(rep.summary())
         for name, ok, detail in rep.results:
             print(f"  {name}: {'ok' if ok else 'FAIL'} - {detail}")
         if rep.note:
             print(f"  note: {rep.note}")
+
+    _emit([record], args.format, human)
     return 0 if rep.ok else 1
-
-
-# The actions of each verb and the operands each takes, in help order;
-# None marks the variadic `finite closure`.
-_OPERANDS = {
-    "chart": {"parse": 1, "compose": 2, "invert": 1, "apply": 2, "stats": 1},
-    "class": {"member": 2, "witness": 2, "dual": 1, "admissible": 1, "exclude": 1},
-    "uf": {"contains": 2, "stabilises": 2, "min": 1},
-    "rel": {"rho": 2, "compose": 2, "padding": 3},
-    "finite": {"classify": 0, "completeness": 0, "closure": None, "minext": 1},
-}
-
-
-def _check_operands(args) -> None:
-    if args.command not in _OPERANDS:
-        return
-    want = _OPERANDS[args.command][args.action]
-    if want is not None and len(args.arg) != want:
-        raise ParameterError(
-            f"{args.command} {args.action} takes {want} operand{'s' * (want != 1)}, "
-            f"got {len(args.arg)}"
-        )
 
 
 # Building the tree costs more than a small query, and parsing leaves it
@@ -332,25 +312,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def verb(name, fn, **kw):
-        actions = _OPERANDS[name]
-        v = sub.add_parser(name, help=", ".join(actions), **kw)
+    for name, actions in _ACTIONS.items():
+        v = sub.add_parser(name, help=", ".join(actions))
         v.add_argument("action", choices=list(actions))
         v.add_argument("arg", nargs="*")
-        v.set_defaults(fn=fn)
-        return v
-
-    verb("chart", _cmd_chart)
-    verb("class", _cmd_class)
-    verb("uf", _cmd_uf)
-    verb("rel", _cmd_rel)
-    f = verb(
-        "finite",
-        _cmd_finite,
-        description="Partial injections on {0..n-1}. 'classify' lists the "
+        v.set_defaults(fn=_run_action)
+    f = sub.choices["finite"]
+    f.description = (
+        "Partial injections on {0..n-1}. 'classify' lists the "
         "predicted maximal subsemigroups; 'completeness' finds them all by "
         "J-class reduction and compares (2 <= n <= 4); 'closure' generates "
-        "a subsemigroup; 'minext' gives a minimal total extension.",
+        "a subsemigroup; 'minext' gives a minimal total extension."
     )
     f.add_argument("--n", type=int, default=3, help="ground-set size (default 3)")
     f.add_argument("--format", choices=["text", "records"], default="text")
@@ -377,7 +349,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        _check_operands(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -16,6 +16,14 @@ on generators whose padded maps and rows are already built:
 builds the candidate's once and shares them across its |U - M| closures,
 adding one row per closure.  ``fchart_compose`` is the pointwise product
 for single pairs.
+
+``fchart_closure`` holds at most ``MAX_CLOSURE_CELLS`` = 2^20 entries
+(elements times points) and refuses a larger closure with
+``ResourceGuardError`` ("closure passes ... entries") as soon as the bound is
+passed.  I_7 (130,922 elements on 7 points, the largest monoid that
+``all_fcharts`` lists) and S_8 close; S_9 (362,880 elements on 9 points) is
+refused.  The bound is on the result, not on the number of points, because
+one permutation of 100 points can already generate 232,792,560 elements.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .errors import InternalError, ParameterError, ParseError, ResourceGuardErro
 
 FChart = tuple  # entries: int | None, injective on defined points
 FTrans = tuple  # entries: int, total; composes as an FChart with no holes
+
+MAX_CLOSURE_CELLS = 1 << 20
 
 
 # -- Element arithmetic -----------------------------------------------------
@@ -173,7 +183,9 @@ def fchart_closure(gens) -> frozenset:
     row on the padded a, built once per call.  In the first round the new
     elements are the generators themselves, so a product of two of them is
     formed once, as a*g: g*a is formed when g is the new element.  Maps on
-    different numbers of points are refused with ``ParameterError``.
+    different numbers of points are refused with ``ParameterError``, and a
+    closure of more than ``MAX_CLOSURE_CELLS`` entries with
+    ``ResourceGuardError``.
     """
     frontier = list(dict.fromkeys(gens))
     sizes = sorted({len(g) for g in frontier})
@@ -183,7 +195,13 @@ def fchart_closure(gens) -> frozenset:
         )
     padded = [g + (None,) for g in frontier]
     rows = [_row(g) for g in frontier]
-    return frozenset(_close(set(frontier), frontier, padded, rows, 0, None))
+    cap = MAX_CLOSURE_CELLS // max([1, *sizes])
+    closed = _close(set(frontier), frontier, padded, rows, 0, cap + 1)
+    if len(closed) > cap:
+        raise ResourceGuardError(
+            f"closure passes {MAX_CLOSURE_CELLS} entries (elements x points)"
+        )
+    return frozenset(closed)
 
 
 def _close(elements: set, frontier: list, padded: list, rows: list, base_size: int, stop) -> set:

@@ -1447,22 +1447,21 @@ def check_conditions(n: int, group_gens=None) -> ConditionReport:
     subsemigroups of the monoid and is reported as out of scope.
 
     ``group_gens`` generates the reference inverse semigroup (default:
-    the identity together with everything of rank below the ground set
-    size minus one, which lies inside every predicted candidate).  The
-    family audited is the predicted candidates that contain the reference
-    semigroup.
+    the identity together with every map of rank below n, ``strict_ideal``).
+    The family audited is the predicted candidates that contain the
+    reference semigroup; the note counts those dropped.  Predictions exist
+    only for 2 <= n <= 4; any other n is refused before any work, with
+    ``ResourceGuardError`` when n > 5 and ``ParameterError`` otherwise.
     """
     if n > 5:
         raise ResourceGuardError("condition checks support ground sets up to 5")
+    if not 2 <= n <= 4:
+        raise ParameterError("predictions exist only for ground sets 2 to 4")
     if group_gens is None:
         group = strict_ideal(n) | {identity_fchart(n)}
     else:
         group = fchart_closure(group_gens)
         group = group | frozenset(fchart_invert(u) for u in group)
-    if not 2 <= n <= 4:
-        raise ParameterError(
-            "default candidate families are available for ground sets 2 to 4"
-        )
     preds = predicted_finite_maximals(n)
     family = [(s.label, s.elements) for s in preds if group <= s.elements]
     filtered = ""

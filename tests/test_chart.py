@@ -662,8 +662,12 @@ class TestText:
             parse_chart(bad)
 
     def test_parse_rejects_non_injective(self):
-        with pytest.raises(InjectivityError):
-            parse_chart("chart { pair 0 -> 1; pair 0 -> 2; }")
+        # A literal that is not a partial bijection is a parse error, like
+        # any other malformed literal; the builder's error is its cause.
+        for text in ("chart { pair 0 -> 1; pair 0 -> 2; }", "chart { pair 0 -> 1; pair 2 -> 1 }"):
+            with pytest.raises(ParseError) as caught:
+                parse_chart(text)
+            assert isinstance(caught.value.__cause__, InjectivityError)
 
 
 # -- Canonical form against a pointwise model --------------------------------

@@ -3,6 +3,7 @@ canonicalisation, the text of wide answers, and reuse of the parser within
 one process."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -152,6 +153,20 @@ def test_wide_answers_render_unchanged(argv, digest, capsys):
 
 
 @pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "3a88d3f15985211fe86b1c5fd2c5175d7e5d1546ac3d0b39834fa0737e103007"),
+        ("records", "2e8a91a55a28514fe4629e2bf2cdff07cc9ac05654931aaabcadfa9febc96123"),
+    ],
+)
+def test_conditions_answer_is_unchanged(fmt, digest, capsys):
+    assert main(["conditions", "--n", "4", "--group", "sym", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "8 predicted candidate(s) were dropped" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "text",
     [
         # One rule group whose merged piece starts at 10**7: 5*10**6 evens
@@ -169,6 +184,38 @@ def test_oversized_canonical_form_is_refused_quickly(text, capsys):
     assert main(["chart", "parse", text]) == 3
     assert time.perf_counter() - start < 1.0
     assert "resource guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["rel", "rho", "part mod 20000", "chart { }"], 1),
+        (["rel", "rho", "part mod 20000", "chart { piece (0 mod 1 from 0) -> (0 mod 1 from 0) }"], 1),
+        (["class", "member", "A[blocks=100000]", "chart { }"], 1),
+        (["rel", "compose", "rel n=10000000 {}", "rel n=2 {}"], 1),
+        # S_10: 3,628,800 elements on 10 points.
+        (["finite", "closure", "[1,0,2,3,4,5,6,7,8,9]", "[1,2,3,4,5,6,7,8,9,0]"], 15),
+        # Listing S_12 alone would take tens of gigabytes.
+        (["conditions", "--n", "12", "--group", "sym"], 1),
+    ],
+)
+def test_oversized_structures_are_refused_in_time_and_memory(argv, seconds):
+    # A child with 1 GiB of address space, so that a missing guard fails
+    # here instead of exhausting the machine.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ixm.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=seconds
+    )
+    assert time.perf_counter() - start < seconds
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("resource guard: ")
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -203,6 +250,10 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["finite", "closure", "[0]", "[1,0]"], 2),
         (["chart", "apply", "chart { pair 0 -> 1; }", "x"], 2),
         (["chart", "apply", "chart { piece (0 mod 1 from 0) -> (0 mod 1 from 0); }", "-3"], 2),
+        (["chart", "parse", "chart { pair 0 -> 1; pair 2 -> 1 }"], 2),
+        (["conditions", "--n", "1"], 2),
+        (["conditions", "--n", "5", "--group", "sym"], 2),
+        (["conditions", "--n", "6"], 3),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -243,15 +294,30 @@ _OPERANDS = {
 }
 
 
+def _handlers():
+    for verb, actions in ixm.cli._ACTIONS.items():
+        for action, handler in actions.items():
+            yield (verb, action), handler
+
+
 def test_the_operand_table_covers_every_fixed_arity_action():
-    fixed = {
-        (verb, action)
-        for verb, actions in ixm.cli._OPERANDS.items()
-        for action, n in actions.items()
-        if n is not None
-    }
-    assert fixed == set(_OPERANDS)
-    assert all(len(_OPERANDS[key]) == ixm.cli._OPERANDS[key[0]][key[1]] for key in fixed)
+    variadic = {key for key, h in _handlers() if h.__code__.co_flags & inspect.CO_VARARGS}
+    assert variadic == {("finite", "closure")}
+    assert {key for key, _ in _handlers()} - variadic == set(_OPERANDS)
+
+
+def test_every_handler_takes_the_arguments_then_its_operands():
+    # `_run_action` counts operands from the code object; read the signature
+    # here instead, and allow no defaults, which that count would include.
+    for key, handler in _handlers():
+        first, *operands = inspect.signature(handler).parameters.values()
+        assert first.name == "args", key
+        assert all(p.default is inspect.Parameter.empty for p in operands), key
+        kinds = [p.kind for p in operands]
+        if key in _OPERANDS:
+            assert kinds == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(_OPERANDS[key]), key
+        else:
+            assert kinds == [inspect.Parameter.VAR_POSITIONAL], key
 
 
 def _miscounts():

@@ -206,6 +206,21 @@ class TestClosure:
         gens = list(sym_group(3)) + [(1, 0, None)]
         assert len(fchart_closure(gens)) == 34
 
+    def test_the_closure_bound_counts_elements_times_points(self, monkeypatch):
+        gens = [(1, 0, 2), (1, 2, 0)]
+        monkeypatch.setattr(finite_model, "MAX_CLOSURE_CELLS", 6 * 3)
+        assert fchart_closure(gens) == set(sym_group(3))
+        monkeypatch.setattr(finite_model, "MAX_CLOSURE_CELLS", 6 * 3 - 1)
+        with pytest.raises(ResourceGuardError, match="closure passes 17 entries"):
+            fchart_closure(gens)
+
+    def test_the_largest_listed_monoid_closes_and_s9_is_refused(self):
+        # I_7 has 130,922 elements on 7 points; S_9 has 362,880 on 9.
+        gens = [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0), (None, 1, 2, 3, 4, 5, 6)]
+        assert len(fchart_closure(gens)) == len(all_fcharts(7)) == 130922
+        with pytest.raises(ResourceGuardError):
+            fchart_closure([(1, 0, *range(2, 9)), (*range(1, 9), 0)])
+
     def test_benchmark_generators_give_the_whole_monoid(self):
         # A 4-cycle, an adjacent transposition and a rank-3 partial identity.
         gens = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 1, 2, None)]

@@ -12,7 +12,8 @@ import pytest
 
 from ixm import laws
 from ixm.cardinal import ALEPH0, card_add, card_cmp, fin
-from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank
+from ixm.errors import ParameterError, ResourceGuardError
+from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank, sym_group
 from ixm.laws import _FAIL_CAP, _Ctx, _lemma_checks, _pair_tag, run_suite, suite_names
 from ixm.partition_action import (
     all_relations,
@@ -234,3 +235,26 @@ def test_nxn_n3_checks_the_first_pair_of_each_class_pair(monkeypatch):
     monkeypatch.setattr(laws, "nxn_closure_check", record)
     laws._suite_nxn_n3(_Ctx(), make_rng(0), 0)
     assert checked == [(3, rho, sigma) for rho, sigma in reps.values()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("group", ["ideal", "sym"])
+def test_check_conditions_passes_where_predictions_exist(n, group):
+    rep = laws.check_conditions(n, group_gens=sym_group(n) if group == "sym" else None)
+    assert rep.n == n and rep.ok and len(rep.results) == 4
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [(-1, ParameterError), (0, ParameterError), (1, ParameterError), (5, ParameterError),
+     (6, ResourceGuardError), (12, ResourceGuardError)],
+)
+def test_check_conditions_refuses_before_building_the_reference(n, error, monkeypatch):
+    def built(*args):
+        raise AssertionError("built the reference semigroup before checking n")
+
+    monkeypatch.setattr(laws, "strict_ideal", built)
+    monkeypatch.setattr(laws, "fchart_closure", built)
+    for gens in (None, [tuple(range(max(n, 0)))]):
+        with pytest.raises(error):
+            laws.check_conditions(n, group_gens=gens)

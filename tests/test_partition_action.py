@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import ixm
 from ixm.chart import IDENTITY_CHART, Piece, make_chart
 from ixm.epset import Prog, residue_class
-from ixm.errors import ParameterError, ParseError
+from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.partition_action import (
+    MAX_BLOCKS,
     BinRel,
     _rho_mod,
     all_relations,
@@ -115,6 +116,24 @@ class TestText:
     def test_relation_text(self):
         assert render_rel(rel_from_pairs(3, [(2, 0), (0, 1)])) == "rel n=3 {(0,1),(2,0)}"
         assert parse_rel("rel n=2 {}") == rel_from_pairs(2, [])
+
+    def test_block_counts_past_the_guard_are_refused(self):
+        n = MAX_BLOCKS
+        assert mod_partition(n).n == make_partition(residue_class(i, n) for i in range(n)).n == n
+        assert rel_from_pairs(n, [(n - 1, 0)]).n == n
+        with pytest.raises(ResourceGuardError, match=f"at most {n} blocks, got {n + 1}"):
+            mod_partition(n + 1)
+        with pytest.raises(ResourceGuardError):
+            make_partition(residue_class(i, n + 1) for i in range(n + 1))
+        with pytest.raises(ResourceGuardError):
+            rel_from_pairs(n + 1, [])
+        for text in (f"part mod {n + 1}", "part blocks " + " | ".join(
+            f"ep N=0 m={n + 1} R={{{i}}} L={{}}" for i in range(n + 1)
+        )):
+            with pytest.raises(ResourceGuardError):
+                parse_partition(text)
+        with pytest.raises(ResourceGuardError):
+            parse_rel(f"rel n={n + 1} {{}}")
 
     @pytest.mark.parametrize(
         "text",
