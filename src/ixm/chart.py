@@ -13,9 +13,11 @@ Composition is written left to right throughout: (x)(f * g) = ((x)f)g.
 Injectivity is checked where a chart enters the program: `make_chart`, and
 `parse_chart` and `chart_union` through it, run `_validate` on their input
 (`parse_chart` reports a clash as a `ParseError`, like the other literals).
-`compose`, `invert`, `identity_on`, `bijection_between` and
-`extend_to_bijection` build maps that are injective by construction and go
-straight to the private `_chart`; a property test over their output
+`compose`, `invert`, `identity_on`, `bijection_between`,
+`extend_to_bijection` and the private `_disjoint_union` (for parts that
+are disjoint by construction, as in `partition_action.defect_spreader`)
+build maps that are injective by construction and go straight to the
+private `_chart`; a property test over their output
 (tests/test_chart.py, `TestInjectiveByConstruction`) carries the check.
 Every chart is canonicalised: pieces are regrouped by the affine rule they
 apply, each group's sources are expressed with the minimal period, every
@@ -492,8 +494,16 @@ def extend_to_bijection(p: Chart, src: EPSet, dst: EPSet) -> Chart:
         )
     if missing_dom.is_empty():
         return p
-    b = bijection_between(missing_dom, missing_im)
-    return _chart(dict([*p.pairs, *b.pairs]), [*p.pieces, *b.pieces])
+    return _disjoint_union(p, bijection_between(missing_dom, missing_im))
+
+
+def _disjoint_union(*charts: Chart) -> Chart:
+    """The union of charts whose domains and images are disjoint by
+    construction, unchecked on input; `chart_union` checks its input."""
+    return _chart(
+        {x: y for c in charts for x, y in c.pairs},
+        [pc for c in charts for pc in c.pieces],
+    )
 
 
 def sandwich_factorize(h: Chart, f: Chart, g: Chart, y: EPSet) -> Chart:

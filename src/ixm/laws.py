@@ -1454,7 +1454,9 @@ def check_conditions(n: int, group_gens=None) -> ConditionReport:
     ``ResourceGuardError`` when n > 5 and ``ParameterError`` otherwise.
     """
     if n > 5:
-        raise ResourceGuardError("condition checks support ground sets up to 5")
+        raise ResourceGuardError(
+            "predictions exist only for ground sets 2 to 4, and 6 or more points are refused as too large"
+        )
     if not 2 <= n <= 4:
         raise ParameterError("predictions exist only for ground sets 2 to 4")
     if group_gens is None:

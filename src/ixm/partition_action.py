@@ -31,6 +31,7 @@ from math import gcd
 from .cardinal import ALEPH0, Card, card_cmp, fin
 from .chart import (
     Chart,
+    _disjoint_union,
     bijection_between,
     chart_union,
     compose,
@@ -434,11 +435,10 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
             others = [identity_on(p.blocks[m]) for m in range(p.n) if m != s]
         else:
             back = bijection_between(p.blocks[j], p.blocks[s])
-            mover = chart_union(
-                extend_to_bijection(q, p.blocks[s], p.blocks[j]), back
-            )
+            mover = _disjoint_union(extend_to_bijection(q, p.blocks[s], p.blocks[j]), back)
             others = [identity_on(p.blocks[m]) for m in range(p.n) if m not in (s, j)]
-        a = chart_union(mover, *others)
+        # The parts map blocks onto blocks, so they are disjoint by construction.
+        a = _disjoint_union(mover, *others)
         word = word + [("stab", a)] + word
         w = compose(compose(w, a), w)
 

@@ -57,7 +57,16 @@ from ixm.errors import (
     ParseError,
     ResourceGuardError,
 )
-from ixm.sampling import make_rng, random_chart, random_epset, random_mixed
+from ixm.classes import DOUBLE, SHIFT
+from ixm.partition_action import defect_spreader
+from ixm.sampling import (
+    make_rng,
+    random_chart,
+    random_epset,
+    random_mixed,
+    random_partition,
+    random_total,
+)
 
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
@@ -1046,12 +1055,17 @@ def _built_by_construction(f, g):
         for src, dst in ((NATURALS, NATURALS), (dom_set(p).union(EVENS), im_set(p).union(ODDS))):
             if src.difference(dom_set(p)).card() == dst.difference(im_set(p)).card():
                 outs.append(extend_to_bijection(p, src, dst))
+    for s in sets:
+        rest = s.complement()
+        if s.card() == rest.card():
+            outs.append(chart_module._disjoint_union(bijection_between(s, rest), bijection_between(rest, s)))
     return outs
 
 
 class TestInjectiveByConstruction:
-    """`compose`, `invert`, `identity_on`, `bijection_between` and
-    `extend_to_bijection` skip `make_chart`'s injectivity check; here their
+    """`compose`, `invert`, `identity_on`, `bijection_between`,
+    `extend_to_bijection` and `_disjoint_union` (which builds the stabilisers
+    of `defect_spreader`) skip `make_chart`'s injectivity check; here their
     output must pass it and be the chart that `make_chart` builds."""
 
     @staticmethod
@@ -1071,3 +1085,27 @@ class TestInjectiveByConstruction:
         rng = make_rng(83)
         for _ in range(120):
             self.check(random_mixed(rng), random_mixed(rng))
+
+    def test_disjoint_union_of_restrictions_is_the_chart(self):
+        rng = make_rng(87)
+        for _ in range(60):
+            f, s = random_mixed(rng), random_epset(rng)
+            parts = (restrict(f, s), restrict(f, s.complement()), EMPTY_CHART)
+            out = chart_module._disjoint_union(*parts)
+            chart_module._validate(out.pairs, list(out.pieces))
+            assert out == f == chart_union(*parts)
+
+    def test_defect_spreader_stabilisers(self):
+        # Each round's stabiliser is a disjoint union of maps between blocks.
+        rng = make_rng(89)
+        letters = set()
+        for i in range(40):
+            f = compose(random_total(rng), SHIFT if i % 3 == 0 else DOUBLE)
+            p = random_partition(rng)
+            if stats(f).defect != ZERO:
+                word = defect_spreader(p, f).word
+                letters.update(a for label, a in word if label == "stab" and len(a.pieces) <= 300)
+        assert len(letters) >= 10
+        for a in letters:
+            chart_module._validate(a.pairs, list(a.pieces))
+            assert make_chart(a.pairs, a.pieces) == a

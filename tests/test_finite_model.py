@@ -1,11 +1,16 @@
 """Brute-force universe of partial injections on a finite ground set."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ixm
 from ixm import finite_model
 from ixm.errors import InternalError, ParameterError, ResourceGuardError
 from ixm.finite_model import (
@@ -39,6 +44,8 @@ from ixm.finite_model import (
     sym_group,
 )
 from ixm.sampling import make_rng, random_fchart, random_nonempty_fchart
+
+SRC = str(Path(ixm.__file__).resolve().parent.parent)
 
 
 def compose(u, v):
@@ -292,6 +299,41 @@ class TestClosure:
         assert is_closed(elements) == want
         assert is_closed(naive_closure(elements))
 
+    def test_is_closed_on_large_sets(self):
+        # Sets of 100 or more maps on 4 points, with and without the identity,
+        # against every pointwise product.
+        rng = make_rng(31)
+        universe = all_fcharts(4)
+        e = identity_fchart(4)
+        sets = [strict_ideal(4), *(f.elements for f in predicted_finite_maximals(4))]
+        sets += [
+            c for c in (fchart_closure(rng.sample(universe, 3)) for _ in range(8)) if len(c) >= 100
+        ]
+        sets += [m - {rng.choice(sorted(m, key=render_fchart))} for m in list(sets)]
+        sets += [frozenset(rng.sample(universe, rng.randint(100, 200))) for _ in range(4)]
+        verdicts = []
+        for s in [s | {e} for s in sets] + [s - {e} for s in sets]:
+            assert len(s) >= 100
+            want = all(compose(a, b) in s for a in s for b in s)
+            assert is_closed(s) == want
+            verdicts.append(want)
+        assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+    def test_all_partial_injections_on_six_points_close_in_time(self):
+        # Every member as a generator would form 13,327^2 products; the span
+        # keeps only the generators it needs.  In a subprocess, so that a slow
+        # closure fails the test instead of holding up the run.
+        code = (
+            "from ixm.finite_model import all_fcharts, fchart_closure\n"
+            "print(len(fchart_closure(all_fcharts(6))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == len(all_fcharts(6)) == 13327
+
     def test_is_inverse_closed(self):
         assert is_inverse_closed(sym_group(4))
         assert not is_inverse_closed([(1, None, None)])
@@ -436,6 +478,71 @@ class TestMaximality:
             verdicts.append(want)
         assert all(verdicts[: len(predicted)])
         assert not all(verdicts[len(predicted):])
+
+    @staticmethod
+    def closes_to_everything(m, n):
+        universe = frozenset(all_fcharts(n))
+        return all(fchart_closure([*m, x]) == universe for x in universe - m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_subgroup_with_the_non_permutations(self, n):
+        perms = sym_group(n)
+        subgroups = {frozenset(naive_closure({g, h})) for g, h in itertools.combinations(perms, 2)}
+        subgroups |= {frozenset(naive_closure({g})) for g in perms}
+        subgroups.discard(frozenset(perms))
+        verdicts = []
+        for k in subgroups:
+            m = k | strict_ideal(n)
+            want = self.closes_to_everything(m, n)
+            assert is_maximal(m, n) == want
+            verdicts.append(want)
+        assert len(subgroups) == {2: 1, 3: 5, 4: 29}[n]
+        assert sum(verdicts) == len(maximal_subgroups(n))
+
+    def test_a_maximal_subgroup_with_three_double_cosets(self):
+        # S_2 x S_3 in S_5 has three double cosets, so one of its two outside
+        # orbits is reached only through products with x twice or more.
+        n = 5
+        k = naive_closure({(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 3, 4, 2)})
+        m = k | strict_ideal(n)
+        assert len(k) == 12 and is_maximal(m, n)
+        assert self.closes_to_everything(m, n)
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [({(None,)}, 1), ({(0,)}, 1)]
+        + [(low_rank_ideal(n, k), n) for n in (2, 3, 4) for k in range(n)]
+        + [(low_rank_ideal(n, k) | {identity_fchart(n)}, n) for n in (2, 3, 4) for k in range(n)],
+    )
+    def test_candidates_with_few_or_no_units(self, m, n):
+        # With no unit but the identity, or none at all, every missing
+        # element is closed on its own.
+        assert is_maximal(m, n) == self.closes_to_everything(m, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_closure_per_double_orbit_of_the_units(self, n, monkeypatch):
+        close = finite_model._close
+        closed = []
+
+        def counting(elements, frontier, *rest):
+            closed.append(frontier[0])
+            return close(elements, frontier, *rest)
+
+        monkeypatch.setattr(finite_model, "_close", counting)
+        perms = sym_group(n)
+        for fam in predicted_finite_maximals(n):
+            m = fam.elements
+            units = [u for u in perms if u in m]
+            closed.clear()
+            assert is_maximal(m, n)
+            outside = [x for x in closed if x not in m]
+            orbits = {
+                frozenset(compose(compose(s, x), t) for s in units for t in units)
+                for x in all_fcharts(n)
+                if x not in m
+            }
+            assert len(outside) == len(orbits), fam.label
+            assert all(sum(x in o for x in outside) == 1 for o in orbits), fam.label
 
 
 class TestPredictions:

@@ -256,5 +256,5 @@ def test_check_conditions_refuses_before_building_the_reference(n, error, monkey
     monkeypatch.setattr(laws, "strict_ideal", built)
     monkeypatch.setattr(laws, "fchart_closure", built)
     for gens in (None, [tuple(range(max(n, 0)))]):
-        with pytest.raises(error):
+        with pytest.raises(error, match="predictions exist only for ground sets 2 to 4"):
             laws.check_conditions(n, group_gens=gens)
