@@ -713,6 +713,7 @@ _FAMILY_TOKENS = {
     ("A", "meet"): "Ameet",
 }
 _TOKEN_FAMILY = {v: k for k, v in _FAMILY_TOKENS.items()}
+_FAMILY_KEYS = {"S": {"mu"}, "P": {"gamma", "mu"}, "V": {"uf", "mu"}, "A": {"blocks"}}
 
 
 def render_class(c: ClassId) -> str:
@@ -749,10 +750,14 @@ def parse_class(text: str) -> ClassId:
         fields["part-literal"] = body
     elif body:
         for chunk in body.split(";"):
-            k, eq, v = chunk.partition("=")
+            k, eq, v = (t.strip() for t in chunk.partition("="))
             if not eq:
                 raise ParseError(f"bad parameter chunk {chunk!r} in {text!r}")
-            fields[k.strip()] = v.strip()
+            if k not in _FAMILY_KEYS[family]:
+                raise ParseError(f"family {family} does not take parameter {k!r}: {text!r}")
+            if k in fields:
+                raise ParseError(f"parameter {k!r} given twice: {text!r}")
+            fields[k] = v
     try:
         if family == "S":
             return ClassId(family, variant, mu=parse_card(_need(fields, "mu", text)))
@@ -761,7 +766,10 @@ def parse_class(text: str) -> ClassId:
             if not (gam.startswith("{") and gam.endswith("}")):
                 raise ParseError(f"gamma needs braces: {text!r}")
             inner = gam[1:-1].strip()
-            pts = [int(s.strip()) for s in inner.split(",")] if inner else []
+            try:
+                pts = [int(s) for s in inner.split(",")] if inner else []
+            except ValueError as exc:
+                raise ParseError(f"bad integer in gamma: {text!r}") from exc
             if not pts:
                 raise ParseError(f"gamma must be non-empty: {text!r}")
             return ClassId(

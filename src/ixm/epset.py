@@ -11,11 +11,13 @@ m-bit residue word divides m, and m/p divides the number of residues, so
 only the primes q of gcd(m, #residues) can shrink it: q does, as often as
 it divides what is left, while the word equals itself rotated by m/q.  A
 word whose residue count is coprime to m (a single progression, its
-complement) is canonical as it stands.  The class is closed under
-the Boolean operations, which is what makes the symbolic side of the
-workbench decidable.  Masks are capped at MAX_BITS bits: a threshold or
-(joint) period beyond it raises ResourceGuardError before anything is
-allocated.
+complement) is canonical as it stands.  `_primes`, the package's one
+trial division, tries divisors up to MAX_TRIAL_DIVISOR = 10^6, so it is
+exact up to 10^12; these gcds are at most MAX_BITS = 2^24, where it stops
+by 4,096.  The class is closed under the Boolean operations, which is
+what makes the symbolic side of the workbench decidable.  Masks are
+capped at MAX_BITS bits: a threshold or (joint) period beyond it raises
+ResourceGuardError before anything is allocated.
 
 Images of sets under charts are built piece by piece by `affine_image`,
 which maps s = (N, m, R, L) through src.value(i) -> dst.value(i) directly.
@@ -48,6 +50,7 @@ from .cardinal import ALEPH0, Card, fin
 from .errors import ParameterError, ParseError, ResourceGuardError
 
 MAX_BITS = 2**24  # widest residue or low-part mask an EPSet may hold
+MAX_TRIAL_DIVISOR = 10**6  # largest divisor `_primes` tries
 
 
 class _ProgFields(NamedTuple):
@@ -323,16 +326,18 @@ def _least_period(m: int, res: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=4096)
 def _primes(g: int) -> tuple[int, ...]:
-    """The distinct prime factors of g, by trial division."""
+    """The distinct prime factors of g, by trial division up to MAX_TRIAL_DIVISOR:
+    exact for g <= MAX_TRIAL_DIVISOR**2.  Above that, a cofactor with no
+    prime factor up to the bound is dropped."""
     out = []
     q = 2
-    while q * q <= g:
+    while q * q <= g and q <= MAX_TRIAL_DIVISOR:
         if g % q == 0:
             out.append(q)
             while g % q == 0:
                 g //= q
         q += 1
-    if g > 1:
+    if 1 < g < q * q:
         out.append(g)
     return tuple(out)
 

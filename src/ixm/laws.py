@@ -396,13 +396,12 @@ def _finite_rank_chart(rng) -> Chart:
     return make_chart(tuple(zip(xs, ys)), ())
 
 
-def _window(*sets: EPSet, pad: int = 3, cap: int = 2000) -> int:
-    hi = 1
-    for s in sets:
-        hi = max(hi, s.threshold)
-        hi = max(hi, s.period)
-    hi = hi * pad + 24
-    return min(hi, cap)
+_WINDOW_PAD, _WINDOW_CAP = 3, 600  # checked points: PAD * widest threshold or period + 24
+
+
+def _window(*sets: EPSet) -> int:
+    hi = max(1, *(max(s.threshold, s.period) for s in sets))
+    return min(hi * _WINDOW_PAD + 24, _WINDOW_CAP)
 
 
 # -- Composition statistics (threshold lemma) ----------------------------------------
@@ -617,7 +616,7 @@ def _suite_chart_laws(ctx, rng, cases):
         img = image_of_set(f, a)
         pre = preimage_of_set(f, a)
         finv = invert(f)
-        hi = _window(a, dom_set(f), im_set(f), cap=600)
+        hi = _window(a, dom_set(f), im_set(f))
         ok_img = all(
             (apply_chart(finv, y) is not None and apply_chart(finv, y) in a) == (y in img)
             for y in range(hi)

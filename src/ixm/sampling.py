@@ -180,8 +180,7 @@ def random_tower(rng: random.Random) -> ResidueTower:
         a = rng.randint(1, 2)
         r = rng.randrange(1, p**a)
         entries.append((p, a, r))
-    tower = make_tower(entries)
-    return tower if tower.choices else ZERO_TOWER
+    return make_tower(entries)
 
 
 def random_partition(rng: random.Random) -> FinPartition:

@@ -7,7 +7,8 @@ Two decidable families are provided:
   compatible residue choice at every prime power.  A tower is described
   by finitely many constraints ``p**a = r`` (one prime may appear with
   several exponents as long as the residues agree); every unmentioned
-  prime defaults to residue 0.  A periodic set is accepted when its
+  prime defaults to residue 0, so the residue modulo any m comes from the
+  choices alone, with no factoring of m.  A periodic set is accepted when its
   residues modulo its own period contain the tower's residue at that
   period; since eventually periodic sets are closed under the boolean
   operations and exactly one of S, complement(S) is accepted, this is an
@@ -31,7 +32,7 @@ from math import lcm
 
 from .cardinal import ALEPH0, fin
 from .chart import Chart, apply_chart, dom_set, im_set, image_of_set
-from .epset import EPSet, NATURALS, Prog, _primes, from_finite, from_prog
+from .epset import MAX_TRIAL_DIVISOR, EPSet, NATURALS, Prog, _primes, from_finite, from_prog
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -65,18 +66,6 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def _factorize(m: int) -> dict[int, int]:
-    """The prime factorisation of m, as prime -> exponent."""
-    out: dict[int, int] = {}
-    for p in _primes(m):
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        out[p] = k
-    return out
 
 
 @dataclass(frozen=True)
@@ -114,25 +103,21 @@ class ResidueTower:
             seen.add(p)
 
     def residue_at(self, m: int) -> int:
-        """The tower's residue modulo m, via the Chinese remainder theorem."""
+        """The tower's residue modulo m, from the choices alone: m is not
+        factored.  Above a chosen exponent the higher digits are zero, so
+        the tower point is r modulo the power of p in m; the cofactor of m
+        left once the chosen primes are divided out takes residue 0."""
         if m < 1:
             raise ParameterError("modulus must be positive")
         rem, mod = 0, 1
-        # Above the chosen exponent the higher digits are zero, so the tower
-        # point is the literal integer r at that prime.
-        chosen = {p: r for p, _, r in self.choices}
-        for p, k in _factorize(m).items():
-            pk = p**k
-            local = chosen.get(p, 0) % pk
-            # combine rem (mod mod) with local (mod pk)
-            inv = pow(mod, -1, pk)
-            rem = rem + mod * ((local - rem) * inv % pk)
+        for p, _, r in self.choices:
+            pk = 1
+            while m % p == 0:
+                m //= p
+                pk *= p
+            rem += mod * ((r - rem) * pow(mod, -1, pk) % pk)
             mod *= pk
-        return rem % mod
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _, _ in self.choices)
+        return m * (rem * pow(m, -1, mod) % mod)
 
     @property
     def base_modulus(self) -> int:
@@ -215,7 +200,7 @@ def stabilises_filter(f, c: Chart, check_witness: bool = True) -> tuple[bool, EP
     """
     if isinstance(f, Principal):
         x = f.point
-        if x in dom_set(c) and apply_chart(c, x) == x:
+        if apply_chart(c, x) == x:
             return (True, None)
         return (False, from_finite([x]))
     if not isinstance(f, ResidueTower):
@@ -259,7 +244,7 @@ def _piece_witness(f: ResidueTower, piece) -> EPSet:
     image is rejected.  Scans arithmetically over candidate moduli."""
     a, q = piece.src.first, piece.src.step
     b, q2 = piece.dst.first, piece.dst.step
-    primes = set(_SMALL_PRIMES) | set(f.primes)
+    primes = set(_SMALL_PRIMES) | {p for p, _, _ in f.choices}
     drift = abs(q2 * a - q * b)
     if q == q2:
         drift = abs(b - a)
@@ -268,7 +253,7 @@ def _piece_witness(f: ResidueTower, piece) -> EPSet:
     bases = [lcm(q, q2) * j for j in range(1, 49)]
     for p in sorted(primes):
         pk = p
-        while pk <= 10**6:
+        while pk <= MAX_TRIAL_DIVISOR:
             bases.append(lcm(q, q2) * pk)
             pk *= p
     for base in sorted(set(bases)):

@@ -80,6 +80,19 @@ def test_far_transposition_witness_is_refused_quickly(capsys):
     assert "MAX_DEMOTED = 65536" in capsys.readouterr().err
 
 
+def test_two_large_prime_steps_are_refused_quickly(capsys):
+    # The tower residue modulo 16777213 * 16777199 needs no factoring, and
+    # the witness search tries divisors of the drift only up to 10**6.
+    chart = "chart { piece (0 mod 16777213 from 1) -> (0 mod 16777199 from 0) }"
+    start = time.perf_counter()
+    assert main(["uf", "stabilises", "uf tower []", chart]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "resource guard: threshold 281474641166387 or period 281474641166387 "
+        "exceeds the 16777216-bit mask limit\n"
+    )
+
+
 def _two_class_chart(s: int, t: int) -> str:
     # Canonicalises to lcm(s, t) / s + lcm(s, t) / t - 2 pieces of one step.
     return (
@@ -254,6 +267,11 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["conditions", "--n", "1"], 2),
         (["conditions", "--n", "5", "--group", "sym"], 2),
         (["conditions", "--n", "6"], 3),
+        (["class", "member", "P[gamma={a};mu=aleph0]", "chart { }"], 2),
+        (["class", "member", "P[gamma={1,,2};mu=aleph0]", "chart { }"], 2),
+        (["class", "member", "S[mu=aleph0;gamma={1}]", "chart { }"], 2),
+        (["class", "member", "S[mu=aleph0;x=1]", "chart { }"], 2),
+        (["class", "member", "S[mu=aleph0;mu=aleph0]", "chart { }"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):

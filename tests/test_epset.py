@@ -14,10 +14,12 @@ from ixm.cardinal import ALEPH0, fin
 from ixm.epset import (
     EMPTY,
     MAX_BITS,
+    MAX_TRIAL_DIVISOR,
     NATURALS,
     Bits,
     EPSet,
     Prog,
+    _primes,
     from_finite,
     from_prog,
     make_epset,
@@ -512,6 +514,42 @@ class TestPeriodSearch:
         for s, step in zip(groups, dict.fromkeys(p.step for p in progs)):
             assert s == union_all([from_prog(p) for p in progs if p.step == step])
         assert union_all(groups) == union_all([from_prog(p) for p in progs])
+
+
+def _brute_primes(g: int) -> tuple[int, ...]:
+    out, q = [], 2
+    while q * q <= g:
+        if g % q == 0:
+            out.append(q)
+            while g % q == 0:
+                g //= q
+        q += 1
+    return tuple(out + [g] * (g > 1))
+
+
+class TestPrimes:
+    def test_exact_up_to_the_mask_limit(self):
+        rng = random.Random(7)
+        gs = [*range(1, 3000), *range(MAX_BITS - 300, MAX_BITS + 1)]
+        gs += [rng.randrange(1, MAX_BITS + 1) for _ in range(300)]
+        # Primes near 2**24 and twice one near 2**23, 4093 * 4099 (primes
+        # either side of 2**12), and 2**24.
+        gs += [16777213, 16777199, 4093 * 4099, 2 * 8388593, MAX_BITS]
+        for g in gs:
+            assert _primes(g) == _brute_primes(g), g
+        assert _primes(16777213) == (16777213,)
+        assert _primes(4093 * 4099) == (4093, 4099)
+
+    def test_bounded_by_the_trial_divisor(self):
+        big = 16777213 * 16777199
+        start = time.perf_counter()
+        assert _primes.__wrapped__(big) == ()
+        assert time.perf_counter() - start < 1.0
+        assert _primes(12 * big) == (2, 3)
+        # Exact up to the bound's square; beyond it a cofactor without a
+        # prime factor up to the bound is dropped.
+        assert _primes(999983**2) == (999983,)
+        assert _primes(2 * (MAX_TRIAL_DIVISOR + 3) ** 2) == (2,)
 
 
 # Two 10**5-bit masks with the top bit set: one with about half its bits set,

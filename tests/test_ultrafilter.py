@@ -1,5 +1,7 @@
 """Point-based and residue-tower set oracles, and the stabiliser test."""
 
+import random
+
 import pytest
 
 from ixm.cardinal import ALEPH0, fin
@@ -28,6 +30,30 @@ from ixm.ultrafilter import (
     uf_contains,
     uf_min,
 )
+
+def _factor(m: int) -> dict[int, int]:
+    out, q = {}, 2
+    while q * q <= m:
+        while m % q == 0:
+            m //= q
+            out[q] = out.get(q, 0) + 1
+        q += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _residue_by_factors(t: ResidueTower, factors: dict[int, int]) -> int:
+    """The tower's residue modulo the product of p**k over `factors`, by the
+    Chinese remainder theorem over every prime power of that modulus."""
+    chosen = {p: r for p, _, r in t.choices}
+    rem, mod = 0, 1
+    for p, k in factors.items():
+        pk = p**k
+        rem += mod * ((chosen.get(p, 0) - rem) * pow(mod, -1, pk) % pk)
+        mod *= pk
+    return rem
+
 
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
@@ -65,6 +91,38 @@ class TestTowerConstruction:
         assert t.residue_at(2) == 0  # unmentioned primes default to zero
         assert t.residue_at(6) == 2  # 0 mod 2 and 2 mod 3
         assert t.residue_at(9) == 2  # higher powers keep the literal point
+
+    def test_residue_at_matches_factor_and_combine(self):
+        rng = random.Random(3)
+        towers = [random_tower(rng) for _ in range(40)]
+        towers += [make_tower([(10**18 + 3, 1, 1)]), make_tower([(2, 3, 5), (7, 2, 30)])]
+        ms = [*range(1, 400), *(rng.randrange(1, 10**7) for _ in range(300)), 10**7]
+        for m in ms:
+            factors = _factor(m)
+            for t in towers:
+                assert t.residue_at(m) == _residue_by_factors(t, factors), (t, m)
+
+    def test_residue_at_large_prime_powers(self):
+        # m is built from known prime powers, so the reference needs no factoring.
+        p, q, big = 16777213, 16777199, 10**18 + 3
+        assert _is_prime(p) and _is_prime(q)
+        towers = [
+            ZERO_TOWER,
+            make_tower([(p, 1, 5)]),
+            make_tower([(2, 1, 1), (q, 2, q + 7), (big, 1, 12345)]),
+            make_tower([(3, 1, 2), (big, 2, big * 3 + 1)]),
+        ]
+        for factors in ({p: 1, q: 1, 2: 2, 3: 1}, {q: 3, 5: 1}, {big: 2, p: 1}, {big: 1}):
+            m = 1
+            for r, k in factors.items():
+                m *= r**k
+            for t in towers:
+                assert t.residue_at(m) == _residue_by_factors(t, factors), (t, m)
+
+    def test_residue_at_refuses_non_positive_moduli(self):
+        for m in (0, -4):
+            with pytest.raises(ParameterError):
+                make_tower([(3, 1, 2)]).residue_at(m)
 
     def test_finite_sets_rejected(self):
         assert not uf_contains(ZERO_TOWER, from_finite([0, 2, 4]))
