@@ -231,6 +231,43 @@ def test_oversized_structures_are_refused_in_time_and_memory(argv, seconds):
     assert done.stderr.startswith("resource guard: ")
 
 
+def test_the_widest_answer_renders_in_time_and_memory():
+    # Both masks of this answer reach the 2**24-bit cap, with 8.4M members
+    # each: 140 MB of text.  A child with 320 MiB of address space hashes
+    # the text as it is printed, so one int per member would not fit.
+    chart = (
+        "chart { piece (0 mod 2 from 8388000) -> (2 mod 4 from 4194000); "
+        "piece (1 mod 2 from 1) -> (1 mod 2 from 1) }"
+    )
+    code = (
+        "import contextlib, hashlib, io, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (320 << 20, 320 << 20))\n"
+        "from ixm.cli import main\n"
+        "class Digest(io.TextIOBase):\n"
+        "    def __init__(self):\n"
+        "        self.sha = hashlib.sha256()\n"
+        "    def write(self, text):\n"
+        "        self.sha.update(text.encode())\n"
+        "        return len(text)\n"
+        "out = Digest()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, out.sha.hexdigest())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, "chart", "stats", chart],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 0958b9db9487bd4c0999dfb1919aa62e4af0db9f3234fcf84e2336013c895cb1\n"
+
+
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert not issubclass(InternalError, ParameterError)
 
@@ -272,6 +309,8 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["class", "member", "S[mu=aleph0;gamma={1}]", "chart { }"], 2),
         (["class", "member", "S[mu=aleph0;x=1]", "chart { }"], 2),
         (["class", "member", "S[mu=aleph0;mu=aleph0]", "chart { }"], 2),
+        (["uf", "contains", "uf tower [2^1=1]", "ep N=0 m=2 R={1} L={} X=7"], 2),
+        (["uf", "contains", "uf tower [2^1=1]", "ep N=0 N=4 m=2 R={1} L={}"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):

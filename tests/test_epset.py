@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 from math import lcm
+from operator import and_
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ixm.cardinal import ALEPH0, fin
 from ixm.epset import (
+    _RENDER_DENSITY,
     EMPTY,
     MAX_BITS,
     MAX_TRIAL_DIVISOR,
@@ -27,6 +29,7 @@ from ixm.epset import (
     prog_from_parts,
     progs_intersect,
     render_epset,
+    render_ints,
     render_prog,
     residue_class,
     union_all,
@@ -344,6 +347,18 @@ class TestText:
         with pytest.raises((ParseError, ParameterError)):
             parse_epset(bad)
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ("ep N=0 m=2 R={1} L={} X=7", "'X'"),
+            ("ep N=0 N=4 m=2 R={1} L={}", "'N' given twice"),
+            ("ep N=0 m=2 R={1} L={} L={}", "'L' given twice"),
+        ],
+    )
+    def test_parse_names_unknown_and_repeated_fields(self, bad, field):
+        with pytest.raises(ParseError, match=field):
+            parse_epset(bad)
+
 
 # -- Properties against a pointwise reference -------------------------------
 #
@@ -600,6 +615,83 @@ class TestBits:
         s = make_epset(9, 3, (0,), {1, 6})
         assert isinstance(s.residues, Bits) and isinstance(s.low, Bits)
         assert s.residues == 0b1 and s.low == 0b10
+
+
+def _mask_of(members) -> int:
+    buf = bytearray(max(members, default=0) // 8 + 1)
+    for x in members:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _at_the_cutoff(count: int) -> list[int]:
+    """`count` members, one per _RENDER_DENSITY positions, top bit last:
+    exactly the sparsest mask that the tables render."""
+    return list(range(_RENDER_DENSITY - 1, count * _RENDER_DENSITY, _RENDER_DENSITY))
+
+
+def _every_seventh_and(*pts: int) -> list[int]:
+    return sorted(set(range(0, max(pts), 7)) | set(pts))
+
+
+# Dense masks (at least one bit in _RENDER_DENSITY set) are rendered from the
+# tables block of 1,000 positions by block; these cross block edges, decimal
+# lengths of the block heads, empty blocks and the density cutoff.
+_RENDER_EXAMPLES = {
+    "top bit 999": range(1000),
+    "top bit 1000": range(1001),
+    "top bit 1001": _every_seventh_and(1001),
+    **{f"10**{k} - 1": _every_seventh_and(10**k - 1) for k in range(3, 7)},
+    **{f"10**{k} + 1": _every_seventh_and(10**k - 1, 10**k + 1) for k in range(3, 7)},
+    "empty block 0": range(1000, 3000),
+    "empty middle block": [*range(0, 1000, 3), *range(2000, 3000, 3)],
+    "only above 10**6": range(10**6, 1_200_000, 2),
+    "only above 10**7": [*range(10**7, 10_600_000), 10_999_999, 11_000_000],
+    "at the cutoff": _at_the_cutoff(100),
+    "one bit below the cutoff": _at_the_cutoff(100)[1:],
+    "one bit above the cutoff": [0, *_at_the_cutoff(100)],
+    "sparse, top bit MAX_BITS - 1": [0, 999, 1000, 123_456, MAX_BITS - 1],
+}
+
+
+class TestRenderInts:
+    # A mask of up to 5,000 bits, dense or sparse, moved up by an offset
+    # that may leave block 0 empty or give the heads four or five digits.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0, 0, 0, 1000, 999_000, 10**6, 10**7]),
+        st.integers(0, 2**5000 - 1)
+        | st.builds(and_, st.integers(0, 2**5000 - 1), st.integers(0, 2**5000 - 1))
+        | st.sets(st.integers(0, 5000), max_size=40).map(_mask_of),
+    )
+    @example(0, 0)
+    @example(1000, (1 << 1000) - 1)
+    @example(0, (1 << 3000) - 1 ^ ((1 << 1000) - 1) << 1000)
+    @example(0, 1 << 3000 | 1)
+    def test_matches_str_join(self, offset, x):
+        members = [offset + i for i in range(x.bit_length()) if x >> i & 1]
+        assert render_ints(Bits(x << offset)) == ",".join(map(str, members))
+
+    def test_matches_str_join_on_edges(self):
+        def dense(members):
+            bits = _mask_of(members)
+            return _RENDER_DENSITY * bits.bit_count() >= bits.bit_length()
+
+        ex = _RENDER_EXAMPLES
+        assert dense(ex["at the cutoff"]) and dense(ex["one bit above the cutoff"])
+        assert not dense(ex["one bit below the cutoff"])
+        assert dense(ex["only above 10**6"]) and dense(ex["only above 10**7"])
+        assert not dense(ex["sparse, top bit MAX_BITS - 1"])
+        for name, members in ex.items():
+            assert render_ints(Bits(_mask_of(members))) == ",".join(map(str, members)), name
+
+    def test_dense_mask_at_the_cap(self):
+        # Bit 15 of every 16 but block 1: a million members, top bit MAX_BITS - 1.
+        every_16th = int.from_bytes(b"\x00\x80" * (MAX_BITS // 16), "little")
+        bits = Bits(every_16th & ~(((1 << 1000) - 1) << 1000))
+        assert bits.bit_length() == MAX_BITS
+        members = (x for x in range(15, MAX_BITS, 16) if not 1000 <= x < 2000)
+        assert render_ints(bits) == ",".join(map(str, members))
 
 
 class TestSizeGuard:
