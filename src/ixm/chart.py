@@ -15,9 +15,11 @@ Injectivity is checked where a chart enters the program: `make_chart`, and
 (`parse_chart` reports a clash as a `ParseError`, like the other literals).
 `compose`, `invert`, `identity_on`, `bijection_between`,
 `extend_to_bijection` and the private `_disjoint_union` (for parts that
-are disjoint by construction, as in `partition_action.defect_spreader`)
-build maps that are injective by construction and go straight to the
-private `_chart`; a property test over their output
+are disjoint by construction: `extend_to_bijection` here, and in
+`partition_action` the maps between blocks of `block_shuffle`,
+`padding_perm`, `defect_spreader` and `_image_aligner`) build maps that
+are injective by construction and go straight to the private `_chart`;
+a property test over their output
 (tests/test_chart.py, `TestInjectiveByConstruction`) carries the check.
 Every chart is canonicalised: pieces are regrouped by the affine rule they
 apply, each group's sources are expressed with the minimal period, every

@@ -120,6 +120,7 @@ from .partition_action import (
     rel_identity,
     rel_im_full,
     rel_is_perm,
+    render_partition,
     rho_of,
 )
 from .sampling import (
@@ -218,13 +219,16 @@ class _Ctx:
             got == want, lambda: f"{label}: got {got!r}, want {want!r}"
         )
 
-    def attempt(self, prefix: str, fn, *args, errors=(ParameterError, InternalError)):
+    def attempt(
+        self, prefix: str, fn, *args, errors=(ParameterError, InternalError, ResourceGuardError)
+    ):
         """fn(*args), or None after one failed check worded "prefix: error"
-        if it raises one of ``errors``."""
+        if it raises one of ``errors``, by default a guard's refusal too."""
         try:
             return fn(*args)
         except errors as e:
-            self.check(False, f"{prefix}: {e}")
+            guard = "resource guard: " if isinstance(e, ResourceGuardError) else ""
+            self.check(False, f"{prefix}: {guard}{e}")
             return None
 
     def refuses(self, msg: str, fn, *args) -> None:
@@ -1064,14 +1068,12 @@ def _suite_sandwich(ctx, rng, cases):
 # -- Spreading and evading ----------------------------------------------------------------
 
 
-def _word_ok(p: FinPartition, word, letters: dict) -> bool:
-    """Every letter of a factored word is the chart ``letters`` gives for its
-    label, or, labelled "stab", a permutation that permutes the blocks of p."""
+def _word_ok(p: FinPartition, word, gens: dict) -> bool:
+    """Every letter of ``word`` is the chart ``gens`` gives for its label, or,
+    labelled "stab", a permutation that maps each block of p onto a block."""
     return all(
-        is_permutation(c) and rel_is_perm(rho_of(p, c))
-        if label == "stab"
-        else label in letters and c == letters[label]
-        for label, c in word
+        block_stabilises(p, c) if label == "stab" else label in gens and c == gens[label]
+        for label, c in word.letters
     )
 
 
@@ -1086,11 +1088,12 @@ def _suite_spreader(ctx, rng, cases):
         delta = stats(f).defect
         if delta == fin(0):
             continue
-        out = ctx.attempt(f"case {i}", defect_spreader, p, f)
+        tag = f"case {i} ({render_partition(p)}, {render_chart(f)})"
+        out = ctx.attempt(tag, defect_spreader, p, f)
         if out is None:
             continue
         ctx.equal(out.replay(), out.chart, f"case {i}: word replay")
-        ctx.check(_word_ok(p, out.word, {"gen": f}), f"case {i}: word labels")
+        ctx.check(_word_ok(p, out, {"gen": f}), f"case {i}: word labels")
         missing = NATURALS.difference(im_set(out.chart))
         ctx.check(
             all(
@@ -1125,7 +1128,7 @@ def _suite_evader(ctx, rng, cases):
         )
         ctx.equal(out.replay(), out.chart, f"bundle {idx}: word replay")
         ctx.check(
-            _word_ok(p, out.word, {"gen": f, "g": g, "h": h}), f"bundle {idx}: word labels"
+            _word_ok(p, out, {"gen": f, "g": g, "h": h}), f"bundle {idx}: word labels"
         )
     p2, _, g, h = bundles[0]  # the parts mod 2
     for bad in (

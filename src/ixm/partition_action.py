@@ -10,8 +10,9 @@ the containment an equality for a given pair: rel(f*a*g) = rel(f)rel(g).
 ``defect_spreader`` turns a total chart with missing points into one
 whose missing points meet every block as much as possible, and
 ``block_evader`` combines everything to funnel the image of a total
-chart into a single block using only block-respecting helpers plus two
-supplied charts whose relations are not permutations.
+chart into a single block using only permutations of the blocks plus two
+supplied charts whose relations are not permutations.  Both return a
+``Word``: labelled letters and their product, which ``replay`` recomputes.
 
 Partitions and block relations have at most ``MAX_BLOCKS`` = 64 blocks:
 ``mod_partition``, ``make_partition`` and ``rel_from_pairs`` refuse more with
@@ -24,16 +25,16 @@ and a relation has up to n^2 pairs.  On a 2-core Xeon, ``ixm rel rho`` of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import gcd
+from operator import add
 
 from .cardinal import ALEPH0, Card, card_cmp, fin
 from .chart import (
     Chart,
     _disjoint_union,
     bijection_between,
-    chart_union,
     compose,
     extend_to_bijection,
     identity_on,
@@ -327,8 +328,7 @@ def block_shuffle(p: FinPartition, pi) -> Chart:
     """The permutation sending block i onto block pi[i] monotonically."""
     if sorted(pi) != list(range(p.n)):
         raise ParameterError(f"{pi} is not a permutation of 0..{p.n - 1}")
-    parts = [bijection_between(p.blocks[i], p.blocks[pi[i]]) for i in range(p.n)]
-    return chart_union(*parts)
+    return _disjoint_union(*(bijection_between(p.blocks[i], p.blocks[pi[i]]) for i in range(p.n)))
 
 
 # -- Padding -----------------------------------------------------------------------
@@ -374,7 +374,7 @@ def padding_perm(p: FinPartition, f: Chart, g: Chart) -> Chart:
         for s in used_dst:
             rest_dst = rest_dst.difference(s)
         pieces.append(bijection_between(rest_src, rest_dst))
-    a = chart_union(*pieces)
+    a = _disjoint_union(*pieces)
     want = rel_compose(rf, rg)
     got = rho_of(p, compose(compose(f, a), g))
     if got != want:
@@ -386,22 +386,27 @@ def padding_perm(p: FinPartition, f: Chart, g: Chart) -> Chart:
 
 
 @dataclass(frozen=True)
-class FactoredChart:
-    """A chart together with the word of factors that produced it."""
+class Word:
+    """Labelled letters, a tuple of (label, Chart), and their product: ``+``
+    composes the products, ``replay`` recomputes one from the letters alone."""
 
+    letters: tuple
     chart: Chart
-    word: tuple  # of (label, Chart)
+
+    def __add__(self, other: Word) -> Word:
+        return Word(self.letters + other.letters, compose(self.chart, other.chart))
 
     def replay(self) -> Chart:
-        acc = None
-        for _, c in self.word:
-            acc = c if acc is None else compose(acc, c)
-        return acc
+        return reduce(compose, (c for _, c in self.letters))
 
 
-def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
+def _letter(label: str, c: Chart) -> Word:
+    return Word(((label, c),), c)
+
+
+def defect_spreader(p: FinPartition, f: Chart) -> Word:
     """From a total chart with missing points, build a word in f and
-    block-preserving permutations whose value misses at least defect(f)
+    permutations of the blocks whose value misses at least defect(f)
     points inside every block."""
     if not is_total(f):
         raise ParameterError("defect spreading needs a total chart")
@@ -409,19 +414,18 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
     if delta == fin(0):
         raise ParameterError("the chart is surjective; there is nothing to spread")
 
-    word = [("gen", f)] * (1 if delta.infinite else p.n)
-    w = FactoredChart(None, tuple(word)).replay()
+    w = reduce(add, [_letter("gen", f)] * (1 if delta.infinite else p.n))
 
     for i in range(p.n):
-        if card_cmp(_missing_card(p, w, i), delta) >= 0:
+        if card_cmp(_missing_card(p, w.chart, i), delta) >= 0:
             continue
-        s = _donor_block(p, w, delta)
-        pre_i = preimage_of_set(w, p.blocks[i])
+        s = _donor_block(p, w.chart, delta)
+        pre_i = preimage_of_set(w.chart, p.blocks[i])
         j = next(
             k for k in range(p.n)
             if pre_i.intersect(p.blocks[k]).card() == ALEPH0
         )
-        src_pool = p.blocks[s].difference(im_set(w))
+        src_pool = p.blocks[s].difference(im_set(w.chart))
         dst_pool = pre_i.intersect(p.blocks[j])
         if delta.infinite:
             src_pts = src_pool.split(2)[0]
@@ -439,13 +443,12 @@ def defect_spreader(p: FinPartition, f: Chart) -> FactoredChart:
             others = [identity_on(p.blocks[m]) for m in range(p.n) if m not in (s, j)]
         # The parts map blocks onto blocks, so they are disjoint by construction.
         a = _disjoint_union(mover, *others)
-        word = word + [("stab", a)] + word
-        w = compose(compose(w, a), w)
+        w = w + _letter("stab", a) + w
 
     for i in range(p.n):
-        if card_cmp(_missing_card(p, w, i), delta) < 0:
+        if card_cmp(_missing_card(p, w.chart, i), delta) < 0:
             raise InternalError("internal error: spreading left a block short")
-    return FactoredChart(w, tuple(word))
+    return w
 
 
 def _missing_card(p: FinPartition, w: Chart, i: int) -> Card:
@@ -550,8 +553,8 @@ def canonical_rel(r: BinRel) -> BinRel:
 # -- Evading the block action ---------------------------------------------------------
 
 
-def block_evader(p: FinPartition, f: Chart, g: Chart, h: Chart) -> FactoredChart:
-    """A word in f, g, h and block-preserving permutations whose value is a
+def block_evader(p: FinPartition, f: Chart, g: Chart, h: Chart) -> Word:
+    """A word in f, g, h and permutations of the blocks whose value is a
     total chart with image inside block 0.
 
     Requirements: f is total with infinitely many points missing from its
@@ -585,43 +588,34 @@ def block_evader(p: FinPartition, f: Chart, g: Chart, h: Chart) -> FactoredChart
         raise ParameterError(
             "the block relations of g and h do not generate the full relation"
         )
-    t, t_word = _realize_word(p, tokens, g, h)
-    if rho_of(p, t) != rel_full(p.n):
+    t = _realize_word(p, tokens, g, h)
+    if rho_of(p, t.chart) != rel_full(p.n):
         raise InternalError("internal error: realised word misses the full relation")
 
-    aligner = _image_aligner(p, spread.chart, t)
-    result = compose(compose(spread.chart, aligner), t)
-    word = spread.word + (("stab", aligner),) + t_word
-    if not is_total(result):
+    word = spread + _letter("stab", _image_aligner(p, spread.chart, t.chart)) + t
+    if not is_total(word.chart):
         raise InternalError("internal error: evader output is not total")
-    if not im_set(result).is_subset(p.blocks[0]):
+    if not im_set(word.chart).is_subset(p.blocks[0]):
         raise InternalError("internal error: evader image escapes block 0")
-    return FactoredChart(result, word)
+    return word
 
 
-def _token_chart(p: FinPartition, token, g: Chart, h: Chart) -> tuple[str, Chart]:
+def _token_letter(p: FinPartition, token, g: Chart, h: Chart) -> Word:
     if token == "g":
-        return ("g", g)
+        return _letter("g", g)
     if token == "h":
-        return ("h", h)
-    return ("stab", block_shuffle(p, token[1]))
+        return _letter("h", h)
+    return _letter("stab", block_shuffle(p, token[1]))
 
 
-def _realize_word(p: FinPartition, tokens, g: Chart, h: Chart):
-    label, chart = _token_chart(p, tokens[0], g, h)
-    word = [(label, chart)]
-    acc = chart
-    acc_rel = rho_of(p, chart)
+def _realize_word(p: FinPartition, tokens, g: Chart, h: Chart) -> Word:
+    """The tokens joined by padding permutations, whose own check makes the
+    word's relation the product of the tokens' relations."""
+    word = _token_letter(p, tokens[0], g, h)
     for token in tokens[1:]:
-        label, nxt = _token_chart(p, token, g, h)
-        pad = padding_perm(p, acc, nxt)
-        word.append(("stab", pad))
-        word.append((label, nxt))
-        acc = compose(compose(acc, pad), nxt)
-        acc_rel = rel_compose(acc_rel, rho_of(p, nxt))
-        if rho_of(p, acc) != acc_rel:
-            raise InternalError("internal error: padding lost the relation product")
-    return acc, tuple(word)
+        nxt = _token_letter(p, token, g, h)
+        word = word + _letter("stab", padding_perm(p, word.chart, nxt.chart)) + nxt
+    return word
 
 
 def _image_aligner(p: FinPartition, w: Chart, t: Chart) -> Chart:
@@ -644,4 +638,4 @@ def _image_aligner(p: FinPartition, w: Chart, t: Chart) -> Chart:
         pieces.append(
             extend_to_bijection(bijection_between(have, target), block, block)
         )
-    return chart_union(*pieces)
+    return _disjoint_union(*pieces)

@@ -58,7 +58,13 @@ from ixm.errors import (
     ResourceGuardError,
 )
 from ixm.classes import DOUBLE, SHIFT
-from ixm.partition_action import defect_spreader
+from ixm.partition_action import (
+    block_evader,
+    block_shuffle,
+    defect_spreader,
+    mod_partition,
+    padding_perm,
+)
 from ixm.sampling import (
     make_rng,
     random_chart,
@@ -1064,8 +1070,9 @@ def _built_by_construction(f, g):
 
 class TestInjectiveByConstruction:
     """`compose`, `invert`, `identity_on`, `bijection_between`,
-    `extend_to_bijection` and `_disjoint_union` (which builds the stabilisers
-    of `defect_spreader`) skip `make_chart`'s injectivity check; here their
+    `extend_to_bijection` and `_disjoint_union` (which unites the maps between
+    blocks of `block_shuffle`, `padding_perm`, `defect_spreader` and
+    `_image_aligner`) skip `make_chart`'s injectivity check; here their
     output must pass it and be the chart that `make_chart` builds."""
 
     @staticmethod
@@ -1095,6 +1102,23 @@ class TestInjectiveByConstruction:
             chart_module._validate(out.pairs, list(out.pieces))
             assert out == f == chart_union(*parts)
 
+    def test_block_maps(self):
+        # block_evader's "stab" letters hold _image_aligner's output and the
+        # shuffles and paddings of the relation word.
+        rng = make_rng(91)
+        outs = []
+        for _ in range(30):
+            p = random_partition(rng)
+            outs.append(padding_perm(p, random_mixed(rng), random_mixed(rng)))
+            outs.append(block_shuffle(p, rng.sample(range(p.n), p.n)))
+        for n in (2, 3):
+            g = invert(bijection_between(residue_class(0, n), NATURALS))
+            word = block_evader(mod_partition(n), DOUBLE, g, invert(g))
+            outs += [a for label, a in word.letters if label == "stab"]
+        for out in outs:
+            chart_module._validate(out.pairs, list(out.pieces))
+            assert make_chart(out.pairs, out.pieces) == out
+
     def test_defect_spreader_stabilisers(self):
         # Each round's stabiliser is a disjoint union of maps between blocks.
         rng = make_rng(89)
@@ -1103,8 +1127,10 @@ class TestInjectiveByConstruction:
             f = compose(random_total(rng), SHIFT if i % 3 == 0 else DOUBLE)
             p = random_partition(rng)
             if stats(f).defect != ZERO:
-                word = defect_spreader(p, f).word
-                letters.update(a for label, a in word if label == "stab" and len(a.pieces) <= 300)
+                word = defect_spreader(p, f)
+                letters.update(
+                    a for label, a in word.letters if label == "stab" and len(a.pieces) <= 300
+                )
         assert len(letters) >= 10
         for a in letters:
             chart_module._validate(a.pairs, list(a.pieces))

@@ -12,15 +12,24 @@ import pytest
 
 from ixm import laws
 from ixm.cardinal import ALEPH0, card_add, card_cmp, fin
+from ixm.chart import bijection_between, compose, invert, is_permutation, transposition
+from ixm.classes import DOUBLE
+from ixm.epset import NATURALS, residue_class
 from ixm.errors import ParameterError, ResourceGuardError
 from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank, sym_group
 from ixm.laws import _FAIL_CAP, _Ctx, _lemma_checks, _pair_tag, run_suite, suite_names
 from ixm.partition_action import (
+    Word,
+    _letter,
     all_relations,
+    block_evader,
+    block_shuffle,
     canonical_rel,
+    mod_partition,
     rel_dom_full,
     rel_im_full,
     rel_is_perm,
+    rho_of,
 )
 from ixm.sampling import make_rng
 
@@ -258,3 +267,38 @@ def test_check_conditions_refuses_before_building_the_reference(n, error, monkey
     for gens in (None, [tuple(range(max(n, 0)))]):
         with pytest.raises(error, match="predictions exist only for ground sets 2 to 4"):
             laws.check_conditions(n, group_gens=gens)
+
+
+# -- Guard refusals and the word checker ----------------------------------------
+
+
+def test_attempt_records_a_guard_refusal_as_one_failure():
+    def refuse():
+        raise ResourceGuardError("period 2097152 exceeds the mask limit")
+
+    ctx = _Ctx()
+    assert ctx.attempt("case 18", refuse) is None
+    assert ctx.executed == 1
+    assert ctx.failures == ["case 18: resource guard: period 2097152 exceeds the mask limit"]
+
+
+def _accepted(p, word, gens):
+    """The two checks that the spreader and evader suites make of a word."""
+    return word.replay() == word.chart and laws._word_ok(p, word, gens)
+
+
+def test_the_word_checker_rejects_a_changed_word():
+    p = mod_partition(2)
+    g = invert(bijection_between(residue_class(0, 2), NATURALS))
+    gens = {"gen": DOUBLE, "g": g, "h": invert(g)}
+    word = block_evader(p, DOUBLE, g, invert(g))
+    assert _accepted(p, word, gens)
+    first, second, *rest = word.letters
+    assert first[1] != second[1]
+    assert not _accepted(p, Word((second, first, *rest), word.chart), gens)
+    assert not _accepted(p, Word((first, *rest), word.chart), gens)
+    # A permutation of the blocks up to two points: its block relation is a
+    # permutation, yet it maps no block onto a block.
+    outside = compose(block_shuffle(p, (1, 0)), transposition(0, 1))
+    assert is_permutation(outside) and rel_is_perm(rho_of(p, outside))
+    assert not _accepted(p, word + _letter("stab", outside), gens)

@@ -252,7 +252,39 @@ SPREAD_CASE = (
 )
 
 
+# The total chart of defect 7 that `laws --suite all --seed 1047 --cases 25`
+# draws as spreader case 18.  Spreading it over the residues mod 4 doubles the
+# word once per short block, and the product's period outgrows the mask limit.
+GUARDED_SPREAD_CASE = (
+    "chart { pair 0 -> 1; pair 1 -> 4; piece (2 mod 4 from 0) -> (0 mod 2 from 3); "
+    "piece (1 mod 2 from 1) -> (1 mod 4 from 4); piece (0 mod 4 from 1) -> (3 mod 4 from 2); }"
+)
+
+
 class TestDefectSpreader:
+    def test_a_spread_past_the_mask_limit_is_refused_in_time(self):
+        # A spreader that kept periods bounded would spread this chart
+        # instead; until then it must be refused, not hang.
+        code = (
+            "import sys\n"
+            "from ixm.chart import parse_chart\n"
+            "from ixm.errors import ResourceGuardError\n"
+            "from ixm.partition_action import defect_spreader, mod_partition\n"
+            "try:\n"
+            "    defect_spreader(mod_partition(4), parse_chart(sys.argv[1]))\n"
+            "except ResourceGuardError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    sys.exit('spread without a refusal')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", code, GUARDED_SPREAD_CASE],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "mask limit" in done.stdout
+
     def test_a_large_spread_finishes_in_time(self):
         # In a subprocess, so that a slow spread fails the test instead of
         # hanging the run.
