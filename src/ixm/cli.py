@@ -13,6 +13,16 @@ signature, and whose result is the exit code (None for 0).  Handlers look up ``p
 when they run and the table never holds those functions, so a tracer that
 patches these names in this module sees every call.
 
+A plain table call skips argparse: ``argv[0]`` is a verb of ``_ACTIONS``,
+``argv[1]`` one of its actions, and no operand starts with ``-``.  Argparse
+reads every such token as a positional, so its namespace for that argv is
+its namespace for ``[verb, action]`` with ``arg`` set to the operands;
+``main`` builds exactly that from a cached parse of ``[verb, action]``,
+looking ``_build_parser`` up by name, as it does for every other argv.
+Every other argv (options, ``-h``, ``--``, a negative point, an unknown verb
+or action, ``laws``, ``conditions``, no argv at all) goes through the parser,
+which stays the one definition of the grammar, defaults, help and errors.
+
 Exit codes: 0 success, 1 check failures, 2 usage or parse errors,
 3 resource guard, 4 internal error, 141 reader closed standard output early.
 """
@@ -187,8 +197,10 @@ def _finite_completeness(args) -> int:
 
 def _finite_closure(args, *gens) -> None:
     closed = fchart_closure([parse_fchart(t) for t in gens])
-    for u in sorted(closed, key=render_fchart):
-        print(render_fchart(u))
+    # Distinct maps render to distinct strings, so sorting the renders
+    # orders the lines as sorting the maps by their render would.
+    for line in sorted(map(render_fchart, closed)):
+        print(line)
     print(f"size={len(closed)}")
 
 
@@ -342,12 +354,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _table_defaults(verb: str, action: str) -> dict:
+    """What argparse returns for ``[verb, action]``, less the empty operand
+    list.  At most one entry per ``_ACTIONS`` entry (20), filled on first use."""
+    parsed = vars(_build_parser().parse_args([verb, action]))
+    return {k: v for k, v in parsed.items() if k != "arg"}
+
+
+def _plain_call(argv) -> argparse.Namespace | None:
+    """The namespace argparse would return for a plain table call, or None
+    when ``argv`` is not one (see the module docstring)."""
+    if len(argv) < 2 or argv[1] not in _ACTIONS.get(argv[0], ()):
+        return None
+    operands = list(argv[2:])
+    if any(t.startswith("-") for t in operands):
+        return None
+    return argparse.Namespace(arg=operands, **_table_defaults(argv[0], argv[1]))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_call(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     try:
         code = args.fn(args)
         sys.stdout.flush()

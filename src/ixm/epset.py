@@ -31,7 +31,7 @@ part), never the indices below the threshold or the positions of the
 word.
 
 Iterating and rendering a mask cost about what its text costs.  A mask
-with at least one bit in eight set is listed by a C-level walk over its
+with at least one bit in ten set is listed by a C-level walk over its
 digit bytes (`_digits`, one byte per bit position), a sparser one by
 jumping between its set bits (`_ones`).  `render_ints` picks the decimal
 text of a dense mask's members from two fixed 1,000-entry tables, block
@@ -138,13 +138,14 @@ class Bits(int):
     protocol that callers read: membership, ascending iteration and size.
 
     Iteration takes one of two loops, chosen by density.  When at least one
-    bit in eight is set, `itertools.compress` walks every bit position in C,
+    bit in ten is set, `itertools.compress` walks every bit position in C,
     at about 25-50 ns a position; otherwise a Python generator jumps from
     set bit to set bit with `str.rfind` on the unreversed binary text, at
     about 150 ns a set bit.  On 89k set bits of a 94,755-bit mask the walk
     takes 3.0 ms and the jumps 14.0 ms; on 2 set bits of 10**5 the walk
     would take 2.1 ms and the jumps take 0.07 ms, so sparse masks keep the
-    jumps (Python 3.11, shared 2-core Xeon).
+    jumps.  The two meet near one set bit in ten, on masks of 10**4 and
+    10**6 positions alike (Python 3.11, shared 2-core Xeon).
     """
 
     __slots__ = ()
@@ -153,7 +154,7 @@ class Bits(int):
         return x >= 0 and (self >> x) & 1 == 1
 
     def __iter__(self):
-        if 8 * self.bit_count() >= self.bit_length():
+        if 10 * self.bit_count() >= self.bit_length():
             return itertools.compress(itertools.count(), _digits(self))
         return _ones(self)
 

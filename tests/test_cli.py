@@ -1,7 +1,8 @@
 """Command-line entry point: exit codes, the size guards, latency of chart
-canonicalisation, the text of wide answers, and reuse of the parser within
-one process."""
+canonicalisation, the text of wide answers, reuse of the parser within one
+process, and plain table calls answered as argparse would answer them."""
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -132,9 +133,17 @@ def test_widest_many_piece_chart_stats_stay_small():
     assert "dom=ep N=0 m=8388606 R={0,1,4094,4099," in done.stdout
 
 
+_CLOSURE = ["[1,2,3,0]", "[0,1,3,2]", "[0,1,2,_]"]
+_CLOSURE_DIGEST = "c1b7e2b62f57fb77b86c6943f9b1dfbd9cfd7190d23f1b828009ad3ab6cd53d2"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        # All 209 partial bijections of 4 points, sorted, then "size=209";
+        # once without argparse and once through it.
+        (["finite", "closure", *_CLOSURE], _CLOSURE_DIGEST),
+        (["finite", "--format", "text", "closure", *_CLOSURE], _CLOSURE_DIGEST),
         # The witness has a low part of about 85k of its 94,755 points.
         (
             [
@@ -396,6 +405,81 @@ def test_the_well_formed_operands_are_accepted(capsys):
     for (verb, action), ops in _OPERANDS.items():
         assert main([verb, action, *ops]) in (0, 1), (verb, action)
     capsys.readouterr()
+
+
+def _plain_argvs():
+    yield from ([verb, action, *ops] for (verb, action), ops in _OPERANDS.items())
+    yield from _miscounts()
+    yield ["finite", "closure", *_CLOSURE]
+    for (verb, action), _ in _handlers():
+        for odd in ("", "a=b", "x -> y"):
+            yield [verb, action, odd]
+        yield [verb, action, "", "a=b", "x -> y"]
+
+
+@pytest.mark.parametrize("argv", list(_plain_argvs()), ids=lambda a: f"{a[0]}-{a[1]}-{len(a) - 2}")
+def test_the_plain_call_namespace_is_what_argparse_returns(argv):
+    assert ixm.cli._plain_call(argv) == ixm.cli._build_parser().parse_args(argv)
+
+
+def test_plain_calls_answer_without_the_parser(capsys, monkeypatch):
+    calls = [
+        ["chart", "invert", "chart { pair 0 -> 1; }"],
+        ["finite", "closure", *_CLOSURE],
+        ["finite", "classify"],
+        ["chart", "stats", "chart { pair 1 -> ; }"],
+        ["chart", "stats"],
+    ]
+    before = []
+    for argv in calls:
+        before.append((main(argv), *capsys.readouterr()))
+
+    def refuse():
+        raise AssertionError("a plain call built the parser")
+
+    monkeypatch.setattr(ixm.cli, "_build_parser", refuse)
+    after = []
+    for argv in calls:
+        after.append((main(argv), *capsys.readouterr()))
+    assert after == before
+    assert [code for code, _, _ in after] == [0, 0, 0, 2, 2]
+    assert hashlib.sha256(after[1][1].encode()).hexdigest() == _CLOSURE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["chart", "apply", _CHART, "-3"], 2, "", "usage error: point must be a natural, got -3\n"),
+        (
+            ["finite", "--n", "2", "classify"],
+            0,
+            "predicted permutations-plus-corank2 size=3\n"
+            "predicted subgroup-0-order-1 size=6\n"
+            "count=2 hash=cfef50bb4ef9\n",
+            "",
+        ),
+        (["chart", "stats", "-h"], 0, "usage: ixm chart [-h]", ""),
+        (["chart", "stats", "--", _CHART], 0, "rank=aleph0\n", ""),
+        (["laws", "--suite", "nope"], 2, "", "usage error: "),
+        ([], 2, "", "usage: ixm [-h]"),
+    ],
+    ids=["negative-point", "option", "help", "double-dash", "laws", "empty"],
+)
+def test_other_calls_go_through_argparse(argv, code, out, err, capsys, monkeypatch):
+    parses = []
+    real = argparse.ArgumentParser.parse_args
+
+    def counted(self, *a, **k):
+        parses.append(self.prog)
+        return real(self, *a, **k)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    assert ixm.cli._plain_call(argv) is None
+    assert main(argv) == code
+    got_out, got_err = capsys.readouterr()
+    assert parses[:1] == ["ixm"]
+    assert got_out.startswith(out) and got_err.startswith(err)
+    assert bool(got_out) == bool(out) and bool(got_err) == bool(err)
 
 
 def _fresh(argv, env):

@@ -586,9 +586,9 @@ class TestBits:
         b = Bits((1 << 30_000) - 1)
         assert len(b) == 30_000 and list(b) == list(range(30_000))
 
-    # Iteration walks every bit position in C when at least one bit in eight
-    # is set and jumps between set bits otherwise: 1 << 7 is the sparsest
-    # mask on the walking side, 1 << 8 the densest single bit past it.
+    # Iteration walks every bit position in C when at least one bit in ten
+    # is set and jumps between set bits otherwise: 1 << 9 is the sparsest
+    # mask on the walking side, 1 << 10 the densest single bit past it.
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 2**3000 - 1)
@@ -597,6 +597,8 @@ class TestBits:
     @example(0)
     @example(1 << 7)
     @example(1 << 8)
+    @example(1 << 9)
+    @example(1 << 10)
     @example(1 << 99_999)
     @example((1 << 100_000) - 1)
     @example(_WIDE_DENSE)
