@@ -412,7 +412,8 @@ def preimage_of_set(f: Chart, s: EPSet) -> EPSet:
 
 
 def _image(s: EPSet, pairs, pieces) -> EPSet:
-    parts = [from_finite(y for x, y in pairs if x in s)]
+    hit = [y for x, y in pairs if x in s]
+    parts = [from_finite(hit)] if hit else []
     parts.extend(affine_image(s, src, dst) for src, dst in pieces)
     return union_all(parts)
 

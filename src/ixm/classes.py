@@ -11,7 +11,8 @@ plain, an inverse (mirror) and a meet (plain-and-mirror) variant:
            either a permutation or not everywhere defined.
 
 Collapse counts the points where a chart is undefined, defect the points
-it misses.  The module also produces separating witnesses: given two
+it misses.  ``in_class`` picks a variant from the (plain, inverse) pair of
+``class_sides``.  The module also produces separating witnesses: given two
 class descriptions, a concrete chart in the first but not the second.
 """
 
@@ -147,10 +148,10 @@ def in_F_ideal(f: Chart) -> bool:
 
 
 def in_class(c: ClassId, f: Chart) -> bool:
-    return _pick(c.variant, _sides(c, f))
+    return pick_side(c.variant, class_sides(c, f))
 
 
-def _pick(variant: str, sides: tuple[bool, bool]) -> bool:
+def pick_side(variant: str, sides: tuple[bool, bool]) -> bool:
     plain, inverse = sides
     if variant == "plain":
         return plain
@@ -159,7 +160,8 @@ def _pick(variant: str, sides: tuple[bool, bool]) -> bool:
     return plain and inverse
 
 
-def _sides(c: ClassId, f: Chart) -> tuple[bool, bool]:
+def class_sides(c: ClassId, f: Chart) -> tuple[bool, bool]:
+    """Whether f lies in the (plain, inverse) classes of c; c.variant is unread."""
     st = stats(f)
     if c.family == "S":
         return _threshold(st, c.mu, True, True, True)
@@ -216,7 +218,7 @@ def in_class_v_alt(c: ClassId, f: Chart) -> bool:
     st = stats(f)
     if st.rank.finite:
         return True
-    return _pick(c.variant, _filter_sides(c, st, f, _quantified_stab))
+    return pick_side(c.variant, _filter_sides(c, st, f, _quantified_stab))
 
 
 def _quantified_stab(uf, f: Chart) -> bool:

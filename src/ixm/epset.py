@@ -2,9 +2,9 @@
 
 An EPSet is determined by a threshold N, a period m, a residue set
 R <= Z_m describing membership at and beyond N, and an explicit low part
-L <= {0..N-1}.  R and L are stored as int bitmasks (`Bits`), and every
-Boolean operation is one bitwise operation on both sides lifted to the
-joint period and threshold (`_combine`).  Canonical form uses the minimal
+L <= {0..N-1}.  R and L are stored as int bitmasks (`Bits`); `_binary`
+does a binary Boolean operation bitwise at the joint period and threshold,
+and the complement flips both masks.  Canonical form uses the minimal
 period of the tail and then the minimal threshold for that period, so
 structural equality is extensional equality.  The minimal period p of an
 m-bit residue word divides m, and m/p divides the number of residues, so
@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
-from operator import and_, invert, or_
+from operator import and_, or_
 from typing import NamedTuple
 
 from .cardinal import ALEPH0, Card, fin
@@ -179,14 +178,22 @@ def _ones(bits: int):
         i = text.rfind("1", 2, i)
 
 
-@dataclass(frozen=True)
-class EPSet:
-    """Canonical fields; neither mask is wider than MAX_BITS bits."""
-
+class _EPSetFields(NamedTuple):
     threshold: int
     period: int
     residues: Bits  # bit r set iff x = r (mod period) is a member for x >= threshold
     low: Bits  # the members below threshold
+
+
+class EPSet(_EPSetFields):
+    """Canonical fields; neither mask is wider than MAX_BITS bits.  A tuple like
+    `Prog`, hashed and compared in C.  Iterating it lists the members, so never
+    unpack it: read fields by name or index, as `__getnewargs__` does for copy."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple[int, int, Bits, Bits]:
+        return self[:]  # the fields, as a plain tuple
 
     def __contains__(self, x: int) -> bool:
         if x < self.threshold:
@@ -194,9 +201,6 @@ class EPSet:
         return x % self.period in self.residues
 
     def __iter__(self):
-        return self.iter_ascending()
-
-    def iter_ascending(self):
         yield from self.low
         if not self.residues:
             return
@@ -206,19 +210,23 @@ class EPSet:
                 yield x
             x += 1
 
+    iter_ascending = __iter__
+
     # -- Boolean algebra -------------------------------------------------
 
     def union(self, other: "EPSet") -> "EPSet":
-        return _combine((self, other), _any)
+        return _binary(or_, self, other)
 
     def intersect(self, other: "EPSet") -> "EPSet":
-        return _combine((self, other), and_)
+        return _binary(and_, self, other)
 
     def difference(self, other: "EPSet") -> "EPSet":
-        return _combine((self, other), lambda a, b: a & ~b)
+        return _binary(lambda a, b: a & ~b, self, other)
 
     def complement(self) -> "EPSet":
-        return _combine((self,), invert)
+        # Canonical: the flip keeps the least period and the last disagreement.
+        n, m = self.threshold, self.period
+        return EPSet(n, m, Bits(self.residues ^ _full(m)), Bits(self.low ^ _full(n)))
 
     def is_subset(self, other: "EPSet") -> bool:
         return self.difference(other).is_empty()
@@ -356,20 +364,21 @@ def _primes(g: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _combine(sets, op) -> EPSet:
-    """The one Boolean kernel: lift every set to the joint period and
-    threshold, apply the bitwise `op` to the residue masks and to the low
-    masks, and canonicalise."""
-    m = lcm(*(s.period for s in sets))
-    n = max(s.threshold for s in sets)
+def _binary(op, a: EPSet, b: EPSet) -> EPSet:
+    """The Boolean kernel: the bitwise `op` on both masks at the joint period
+    and threshold, guarded before any mask is made, then canonicalised."""
+    m = a.period if a.period == b.period else lcm(a.period, b.period)
+    n = max(a.threshold, b.threshold)
     _guard(n, m)
-    res = op(*(_repeat(s.residues, s.period, m) for s in sets))
-    low = op(*(s.low | _repeat(s.residues, s.period, n) & ~_full(s.threshold) for s in sets))
-    return _canonical(n, m, res & _full(m), low & _full(n))
+    (ra, la), (rb, lb) = _lift(a, n, m), _lift(b, n, m)
+    return _canonical(n, m, op(ra, rb), op(la, lb))
 
 
-def _any(*masks: int) -> int:
-    return functools.reduce(or_, masks)
+def _lift(s: EPSet, n: int, m: int) -> tuple[int, int]:
+    """The masks of s at a period m its own divides and a threshold n >= its own."""
+    t, p, res = s.threshold, s.period, s.residues
+    low = s.low if t == n else s.low | _repeat(res, p, n) >> t << t
+    return (res if p == m else _repeat(res, p, m)), low
 
 
 EMPTY = make_epset(0, 1, (), ())
@@ -492,21 +501,21 @@ def union_all(sets) -> EPSet:
 
     A plain left fold re-expresses the accumulated residue set over every
     intermediate lcm, which blows up when many parts carry large mixed
-    periods.  Instead, parts sharing a period are merged first (one kernel
-    call per period, and canonicalisation often shrinks the period, e.g.
-    when split families tile a coarser class), repeating while periods
+    periods.  Instead, parts sharing a period are merged first (the kernel
+    folded over each group, and canonicalisation often shrinks the period,
+    e.g. when split families tile a coarser class), repeating while periods
     keep collapsing; the leftovers are folded smallest joint period first.
     """
     items = [s for s in sets if not s.is_empty()]
-    if not items:
-        return EMPTY
+    if len(items) < 2:
+        return items[0] if items else EMPTY
     while len(items) > 1:
         groups: dict[int, list[EPSet]] = {}
         for s in items:
             groups.setdefault(s.period, []).append(s)
-        if all(len(g) == 1 for g in groups.values()):
+        if len(groups) == len(items):
             break
-        items = [_combine(grp, _any) for grp in groups.values()]
+        items = [functools.reduce(functools.partial(_binary, or_), g) for g in groups.values()]
     acc = items[0]
     rest = items[1:]
     while rest:

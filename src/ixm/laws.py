@@ -52,11 +52,13 @@ from .classes import (
     HALVE,
     SHIFT,
     ClassId,
+    class_sides,
     dual_class,
     excluding_maximal,
     in_class,
     in_class_v_alt,
     in_F_ideal,
+    pick_side,
     render_class,
     separating_witness,
 )
@@ -272,17 +274,18 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
 
 # -- Shared fixtures ----------------------------------------------------------------
 
+# `class_sides` pairs keyed by the class less its variant: one per variant triple.
 _MEMBER_CACHE: dict = {}
 
 
 def _in(c: ClassId, f: Chart) -> bool:
-    key = (c, f)
-    hit = _MEMBER_CACHE.get(key)
-    if hit is None:
-        hit = in_class(c, f)
+    key = (c.family, c.mu, c.gamma, c.uf, c.partition, f)
+    sides = _MEMBER_CACHE.get(key)
+    if sides is None:
+        sides = class_sides(c, f)
         if len(_MEMBER_CACHE) < 400_000:
-            _MEMBER_CACHE[key] = hit
-    return hit
+            _MEMBER_CACHE[key] = sides
+    return pick_side(c.variant, sides)
 
 
 EVENS = residue_class(0, 2)

@@ -1,7 +1,9 @@
 """Eventually periodic subsets of the naturals: canonical form and algebra."""
 
+import copy
 import functools
 import itertools
+import pickle
 import random
 import time
 from math import lcm
@@ -88,6 +90,27 @@ class TestProg:
         assert p == (0, 2) and hash(p) == hash((0, 2))
         assert p._fields == ("first", "step")
         assert sorted([Prog(1, 2), Prog(0, 3), Prog(0, 2)]) == [(0, 2), (0, 3), (1, 2)]
+
+    def test_epset_is_a_tuple_of_its_fields(self):
+        s = make_epset(5, 6, (1, 3), (0, 2))
+        fields = (s.threshold, s.period, s.residues, s.low)
+        assert s == fields and hash(s) == hash(fields)
+        assert s._fields == ("threshold", "period", "residues", "low")
+        assert s[0] == s.threshold and s[3] == s.low
+
+    # EMPTY and the finite set come first: iterating an EPSet lists its
+    # members, so copying by iteration fails on them before it would walk
+    # the infinite set forever.
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_epset_copies_and_pickles_by_its_fields(self, clone):
+        for s in (EMPTY, from_finite([1, 2]), make_epset(5, 6, (1, 3), (0, 2))):
+            t = clone(s)
+            assert t == s and type(t) is EPSet
+            assert type(t.residues) is Bits and type(t.low) is Bits
 
     def test_render_and_parts_round_trip(self):
         p = Prog(first=2, step=2)
@@ -423,6 +446,10 @@ class TestProperties:
         assert members(a.complement(), hi) == set(range(hi)) - ma
         assert a.is_subset(b) == (ma <= mb)
         assert a.card() == (ALEPH0 if da[2] else fin(len(ma)))
+        # The kernel lifts one operand only and the complement flips masks
+        # without canonicalising: every result must still be canonical.
+        for r in (a.union(b), a.intersect(b), a.difference(b), a.complement()):
+            assert r == make_epset(r.threshold, r.period, r.residues, r.low)
 
     # Periods divide 720, so the fold's joint period stays small.
     @settings(max_examples=30, deadline=None)

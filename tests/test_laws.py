@@ -6,6 +6,7 @@ finds fails here.  Regenerate a pin only when a suite itself is changed on
 purpose, and say why in CHANGES.md.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from ixm import laws
 from ixm.cardinal import ALEPH0, card_add, card_cmp, fin
 from ixm.chart import bijection_between, compose, invert, is_permutation, transposition
-from ixm.classes import DOUBLE
+from ixm.classes import DOUBLE, VARIANTS, in_class, render_class
 from ixm.epset import NATURALS, residue_class
 from ixm.errors import ParameterError, ResourceGuardError
 from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank, sym_group
@@ -76,6 +77,27 @@ def test_suite_hash(name):
     report = run_suite(name, seed=0, cases=CASES)
     assert report.ok, report.failures
     assert report.content_hash == PINS[name]
+
+
+# -- The membership memo ------------------------------------------------------
+
+
+def test_the_member_memo_answers_as_in_class(monkeypatch):
+    monkeypatch.setattr(laws, "_MEMBER_CACHE", {})
+    for f in laws._master_pool(make_rng(0)):
+        for c in laws._CATALOG:
+            assert laws._in(c, f) == in_class(c, f), (render_class(c), f)
+
+
+def test_the_three_variants_of_a_class_share_one_memo_entry(monkeypatch):
+    monkeypatch.setattr(laws, "_MEMBER_CACHE", {})
+    plains = [c for c in laws._CATALOG if c.variant == "plain"]
+    for f in laws._master_pool(make_rng(0)):
+        for c in plains:
+            before = len(laws._MEMBER_CACHE)
+            for variant in VARIANTS:
+                laws._in(replace(c, variant=variant), f)
+            assert len(laws._MEMBER_CACHE) == before + 1, (render_class(c), f)
 
 
 # -- Lemma 2.1 failure messages ------------------------------------------------
