@@ -69,15 +69,6 @@ def card_add(a: Card, b: Card) -> Card:
     return fin(a.value + b.value)
 
 
-def card_cmp(a: Card, b: Card) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def render_card(c: Card) -> str:
     if c.level == _FIN:
         return f"fin:{c.value}"

@@ -14,6 +14,9 @@ Collapse counts the points where a chart is undefined, defect the points
 it misses.  ``in_class`` picks a variant from the (plain, inverse) pair of
 ``class_sides``.  The module also produces separating witnesses: given two
 class descriptions, a concrete chart in the first but not the second.
+Inversion swaps the plain and inverse variants and fixes the meet, so a
+recipe covers one side of each mirror pair: when none fits a pair, the
+witness is the inverse of the dual pair's witness.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .cardinal import ALEPH0, ALEPH1, Card, card_cmp, fin, parse_card, render_card
+from .cardinal import ALEPH0, ALEPH1, Card, fin, parse_card, render_card
 from .chart import (
     Chart,
     ChartStats,
@@ -130,7 +133,7 @@ def admissibility(c: ClassId) -> tuple[bool, str]:
     known to be maximal (as opposed to merely closed)."""
     if c.family == "V":
         least = uf_min(c.uf)
-        if card_cmp(least, c.mu) >= 0:
+        if least >= c.mu:
             return (
                 False,
                 "the oracle accepts no set smaller than "
@@ -190,8 +193,8 @@ def _threshold(
     below mu; the inverse class swaps collapse with defect and domain with
     image.  S has no anchor: every bit is true."""
     cf, df = st.collapse, st.defect
-    plain = card_cmp(cf, mu) >= 0 or not dom_ok or (stab and card_cmp(df, mu) < 0)
-    inverse = card_cmp(df, mu) >= 0 or not im_ok or (stab and card_cmp(cf, mu) < 0)
+    plain = cf >= mu or not dom_ok or (stab and df < mu)
+    inverse = df >= mu or not im_ok or (stab and cf < mu)
     return plain, inverse
 
 
@@ -323,27 +326,13 @@ _PUNCTURED_DOUBLE = make_chart((), (Piece(Prog(1, 1), Prog(2, 2)),))
 
 def _w_s_s(c1: ClassId, c2: ClassId) -> Chart:
     v1, v2, mu, nu = c1.variant, c2.variant, c1.mu, c2.mu
-    if v1 == "plain" and v2 == "inverse":
-        return HALVE
     if v1 == "inverse" and v2 == "plain":
         return DOUBLE
-    if v1 in ("plain", "meet") and v2 == "plain":
-        if mu == nu:
-            _unsupported(c1, c2, "the first class is contained in the second")
-        if card_cmp(mu, nu) > 0:
-            return SHIFT
-        return _PUNCTURED_DOUBLE
-    if v1 == "inverse" and v2 == "inverse":
-        if mu == nu:
-            _unsupported(c1, c2, "the first class is contained in the second")
-        if card_cmp(mu, nu) > 0:
-            return invert(SHIFT)
-        return invert(_PUNCTURED_DOUBLE)
-    if v1 == "meet" and v2 == "inverse":
-        if mu == nu:
-            _unsupported(c1, c2, "the first class is contained in the second")
-        if card_cmp(mu, nu) > 0:
-            return invert(SHIFT)
+    if mu == nu and v1 in (v2, "meet"):
+        _unsupported(c1, c2, "the first class is contained in the second")
+    if v2 == "plain":
+        return SHIFT if mu > nu else _PUNCTURED_DOUBLE
+    if v1 == "meet" and mu < nu:
         return bijection_between(
             from_prog(Prog(0, 2)), NATURALS.difference(from_finite([0]))
         )
@@ -391,7 +380,7 @@ def _w_p_p(c1: ClassId, c2: ClassId) -> Chart:
         return transposition(moved, top)
     if mu == nu:
         _unsupported(c1, c2, "the first class is contained in the second")
-    if card_cmp(mu, nu) < 0:  # mu = aleph0, nu = aleph1
+    if mu < nu:  # mu = aleph0, nu = aleph1
         evens = _evens_above(gamma)
         odds = from_prog(Prog(evens.min() + 1, 2))
         return bijection_between(gamma.union(evens), odds)
@@ -514,22 +503,12 @@ def _w_v_v(c1: ClassId, c2: ClassId) -> Chart:
             )
         return _half_swap(c2.uf, m)
     mu, nu = c1.mu, c2.mu
-    acc = _accepted_class(c1.uf)
-    if c2.variant == "plain":
-        if mu == nu:
-            if c1.variant == "inverse":
-                return invert(bijection_between(acc.complement(), NATURALS))
-            _unsupported(c1, c2, "the first class is contained in the second")
-        if mu == ALEPH1:
-            return _stab_with_defect(c1.uf)
-        return _scrambler(c1.uf)
-    # inverse target
     if mu == nu:
-        if c1.variant == "plain":
-            return bijection_between(acc.complement(), NATURALS)
+        if c1.variant == "plain" and c2.variant == "inverse":
+            return bijection_between(_accepted_class(c1.uf).complement(), NATURALS)
         _unsupported(c1, c2, "the first class is contained in the second")
     if mu == ALEPH1:
-        return _stab_with_collapse(c1.uf)
+        return _stab_with_defect(c1.uf) if c2.variant == "plain" else _stab_with_collapse(c1.uf)
     return _scrambler(c1.uf)
 
 
@@ -543,10 +522,9 @@ def _spread_blocks(p: FinPartition) -> Chart:
 
 
 def _w_a_s(c1: ClassId, c2: ClassId) -> Chart:
-    g = _spread_blocks(c1.partition)
-    if c2.variant == "inverse":
-        return invert(g)
-    return g
+    if c2.variant != "plain":
+        _unsupported(c1, c2)
+    return _spread_blocks(c1.partition)
 
 
 def _block_mixer(p: FinPartition, fixed: EPSet | None = None) -> Chart:
@@ -612,8 +590,6 @@ def _w_a_a(c1: ClassId, c2: ClassId) -> Chart:
         return _class_cycle(0, n1, lcm(n1, n2), 2 * lcm(n1, n2))
     if c1.variant == "plain" and c2.variant == "inverse":
         return bijection_between(c1.partition.blocks[0], NATURALS)
-    if c1.variant == "inverse" and c2.variant == "plain":
-        return invert(bijection_between(c1.partition.blocks[0], NATURALS))
     _unsupported(c1, c2, "the first class is contained in the second")
 
 
@@ -701,18 +677,9 @@ def _moved_point(h: Chart) -> int:
 
 
 _FAMILY_TOKENS = {
-    ("S", "plain"): "S",
-    ("S", "inverse"): "Sinv",
-    ("S", "meet"): "Smeet",
-    ("P", "plain"): "P",
-    ("P", "inverse"): "Pinv",
-    ("P", "meet"): "Pmeet",
-    ("V", "plain"): "V",
-    ("V", "inverse"): "Vinv",
-    ("V", "meet"): "Vmeet",
-    ("A", "plain"): "A",
-    ("A", "inverse"): "Ainv",
-    ("A", "meet"): "Ameet",
+    (family, variant): family + suffix
+    for family in FAMILIES
+    for variant, suffix in zip(VARIANTS, ("", "inv", "meet"))
 }
 _TOKEN_FAMILY = {v: k for k, v in _FAMILY_TOKENS.items()}
 _FAMILY_KEYS = {"S": {"mu"}, "P": {"gamma", "mu"}, "V": {"uf", "mu"}, "A": {"blocks"}}

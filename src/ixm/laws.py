@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product, repeat
 from math import lcm
 
-from .cardinal import ALEPH0, ALEPH1, Card, card_add, card_cmp, fin
+from .cardinal import ALEPH0, ALEPH1, Card, card_add, fin
 from .chart import (
     Chart,
     EMPTY_CHART,
@@ -414,20 +414,18 @@ def _window(*sets: EPSet) -> int:
 # -- Composition statistics (threshold lemma) ----------------------------------------
 
 
-def _lemma_checks(ctx, f, g, h, tag, mus, add, cmp_):
+def _lemma_checks(ctx, f, g, h, tag, mus, add):
     """Lemma 2.1 on one product h = f*g, each given as (rank, collapse,
-    defect).  ``tag`` is called only to word a failure."""
+    defect) in ints or in Cards, which share the native order.  ``tag`` is
+    called only to word a failure."""
     (rf, cf, df), (rg, cg, dg), (rh, ch, dh) = f, g, h
+    ctx.check(rh <= rf and rh <= rg, lambda: f"{tag()}: rank exceeds a factor")
     ctx.check(
-        cmp_(rh, rf) <= 0 and cmp_(rh, rg) <= 0,
-        lambda: f"{tag()}: rank exceeds a factor",
-    )
-    ctx.check(
-        cmp_(cf, ch) <= 0 and cmp_(ch, add(cf, cg)) <= 0,
+        cf <= ch <= add(cf, cg),
         lambda: f"{tag()}: collapse outside [c(f), c(f)+c(g)]",
     )
     ctx.check(
-        cmp_(dg, dh) <= 0 and cmp_(dh, add(df, dg)) <= 0,
+        dg <= dh <= add(df, dg),
         lambda: f"{tag()}: defect outside [d(g), d(f)+d(g)]",
     )
     zero = fin(0) if isinstance(cf, Card) else 0
@@ -440,14 +438,14 @@ def _lemma_checks(ctx, f, g, h, tag, mus, add, cmp_):
             dh == add(df, dg), lambda: f"{tag()}: defect not additive despite c(g)=0"
         )
     for mu in mus:
-        if cmp_(df, mu) < 0 and cmp_(mu, cg) <= 0:
+        if df < mu <= cg:
             ctx.check(
-                cmp_(ch, mu) >= 0,
+                ch >= mu,
                 lambda mu=mu: f"{tag()}: collapse lost the {mu!r} bound",
             )
-        if cmp_(cg, mu) < 0 and cmp_(mu, df) <= 0:
+        if cg < mu <= df:
             ctx.check(
-                cmp_(dh, mu) >= 0,
+                dh >= mu,
                 lambda mu=mu: f"{tag()}: defect lost the {mu!r} bound",
             )
 
@@ -466,7 +464,6 @@ def _suite_lemma21(ctx, rng, cases):
             partial("case {}".format, i),
             mus,
             card_add,
-            card_cmp,
         )
     return "thresholds fin:1 and aleph0"
 
@@ -485,7 +482,6 @@ def _suite_lemma21_fin(ctx, rng, cases):
     checked again on ``ctx`` under its own tag, so the failures and their
     order are those of checking every pair.
     """
-    intcmp = lambda a, b: (a > b) - (a < b)
     intadd = lambda a, b: a + b
     pairs = 0
     for n in (3, 4):
@@ -501,11 +497,11 @@ def _suite_lemma21_fin(ctx, rng, cases):
                 key = (fu, fv, rcd[h])
                 if key not in verdicts:
                     probe = _Ctx()
-                    _lemma_checks(probe, *key, partial(_pair_tag, n, u, v), mus, intadd, intcmp)
+                    _lemma_checks(probe, *key, partial(_pair_tag, n, u, v), mus, intadd)
                     verdicts[key] = None if probe.failures else probe.executed
                 count = verdicts[key]
                 if count is None:
-                    _lemma_checks(ctx, *key, partial(_pair_tag, n, u, v), mus, intadd, intcmp)
+                    _lemma_checks(ctx, *key, partial(_pair_tag, n, u, v), mus, intadd)
                 else:
                     executed += count
         ctx.executed += executed
@@ -1100,7 +1096,7 @@ def _suite_spreader(ctx, rng, cases):
         missing = NATURALS.difference(im_set(out.chart))
         ctx.check(
             all(
-                card_cmp(missing.intersect(b).card(), delta) >= 0
+                missing.intersect(b).card() >= delta
                 for b in p.blocks
             ),
             f"case {i}: a block holds fewer than defect-many missing points",

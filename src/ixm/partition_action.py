@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations
 from math import gcd
-from operator import add
+from operator import add, eq
 
-from .cardinal import ALEPH0, Card, card_cmp, fin
+from .cardinal import ALEPH0, Card, fin
 from .chart import (
     Chart,
     _disjoint_union,
@@ -293,31 +293,26 @@ def _rho_mod(n: int, f: Chart) -> BinRel:
 
 def block_stabilises(p: FinPartition, f: Chart) -> bool:
     """Does the permutation f map every block onto a block?"""
-    if not is_permutation(f):
-        return False
-    targets = []
-    for b in p.blocks:
-        img = image_of_set(f, b)
-        try:
-            targets.append(p.blocks.index(img))
-        except ValueError:
-            return False
-    return sorted(targets) == list(range(p.n))
+    return _blocks_onto_blocks(p, f, eq)
 
 
 def almost_block_stabilises(p: FinPartition, f: Chart) -> bool:
     """Does the permutation f map every block onto a block up to finitely
     many points?"""
+    return _blocks_onto_blocks(
+        p, f, lambda img, c: img.difference(c).union(c.difference(img)).card().finite
+    )
+
+
+def _blocks_onto_blocks(p: FinPartition, f: Chart, close) -> bool:
+    """Is f a permutation whose image of each block is ``close`` to a block,
+    the first such one, with no block hit twice?"""
     if not is_permutation(f):
         return False
     targets = []
     for b in p.blocks:
         img = image_of_set(f, b)
-        hit = None
-        for j, c in enumerate(p.blocks):
-            if img.difference(c).union(c.difference(img)).card().finite:
-                hit = j
-                break
+        hit = next((j for j, c in enumerate(p.blocks) if close(img, c)), None)
         if hit is None:
             return False
         targets.append(hit)
@@ -414,25 +409,24 @@ def defect_spreader(p: FinPartition, f: Chart) -> Word:
     if delta == fin(0):
         raise ParameterError("the chart is surjective; there is nothing to spread")
 
-    w = reduce(add, [_letter("gen", f)] * (1 if delta.infinite else p.n))
+    # g = f^n misses n*delta points when delta is finite, so some block s
+    # misses delta of them; g = f will do when delta is infinite.
+    g = reduce(add, [_letter("gen", f)] * (1 if delta.infinite else p.n))
+    s = _donor_block(p, g.chart, delta)
+    src_pool = p.blocks[s].difference(im_set(g.chart))
+    src_pts = src_pool.split(2)[0] if delta.infinite else src_pool.take_first(delta.value)
 
+    w = g
     for i in range(p.n):
-        if card_cmp(_missing_card(p, w.chart, i), delta) >= 0:
+        if _missing_card(p, w.chart, i) >= delta:
             continue
-        s = _donor_block(p, w.chart, delta)
         pre_i = preimage_of_set(w.chart, p.blocks[i])
         j = next(
             k for k in range(p.n)
             if pre_i.intersect(p.blocks[k]).card() == ALEPH0
         )
-        src_pool = p.blocks[s].difference(im_set(w.chart))
         dst_pool = pre_i.intersect(p.blocks[j])
-        if delta.infinite:
-            src_pts = src_pool.split(2)[0]
-            dst_pts = dst_pool.split(2)[0]
-        else:
-            src_pts = src_pool.take_first(delta.value)
-            dst_pts = dst_pool.take_first(delta.value)
+        dst_pts = dst_pool.split(2)[0] if delta.infinite else dst_pool.take_first(delta.value)
         q = bijection_between(src_pts, dst_pts)
         if s == j:
             mover = extend_to_bijection(q, p.blocks[s], p.blocks[s])
@@ -443,10 +437,12 @@ def defect_spreader(p: FinPartition, f: Chart) -> Word:
             others = [identity_on(p.blocks[m]) for m in range(p.n) if m not in (s, j)]
         # The parts map blocks onto blocks, so they are disjoint by construction.
         a = _disjoint_union(mover, *others)
-        w = w + _letter("stab", a) + w
+        # im(g*a*w) = (im g)*a*w, so g*a*w misses what w misses and, in
+        # block i, the images of the delta points a moves into pre_i.
+        w = g + _letter("stab", a) + w
 
     for i in range(p.n):
-        if card_cmp(_missing_card(p, w.chart, i), delta) < 0:
+        if _missing_card(p, w.chart, i) < delta:
             raise InternalError("internal error: spreading left a block short")
     return w
 
@@ -457,7 +453,7 @@ def _missing_card(p: FinPartition, w: Chart, i: int) -> Card:
 
 def _donor_block(p: FinPartition, w: Chart, delta: Card) -> int:
     for s in range(p.n):
-        if card_cmp(_missing_card(p, w, s), delta) >= 0:
+        if _missing_card(p, w, s) >= delta:
             return s
     raise InternalError("internal error: no block holds enough missing points")
 

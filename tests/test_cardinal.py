@@ -9,7 +9,6 @@ from ixm.cardinal import (
     ZERO,
     Card,
     card_add,
-    card_cmp,
     fin,
     parse_card,
     render_card,
@@ -63,18 +62,18 @@ class TestAdd:
 
 class TestOrdering:
     def test_finite_vs_finite(self):
-        assert card_cmp(fin(0), fin(1)) == -1
+        assert fin(0) < fin(1) and not fin(0) >= fin(1)
 
     def test_infinite_dominates_any_finite(self):
-        assert card_cmp(ALEPH0, fin(10**9)) == 1
+        assert ALEPH0 > fin(10**9) and not ALEPH0 <= fin(10**9)
 
     def test_tiers_are_ordered(self):
-        assert card_cmp(ALEPH0, ALEPH1) == -1
+        assert ALEPH0 < ALEPH1 and not ALEPH0 >= ALEPH1
         assert fin(10**12) < ALEPH0 < ALEPH1
 
     def test_equal(self):
-        assert card_cmp(fin(4), fin(4)) == 0
-        assert card_cmp(ALEPH0, ALEPH0) == 0
+        assert fin(4) <= fin(4) and fin(4) >= fin(4) and not fin(4) < fin(4)
+        assert ALEPH0 <= ALEPH0 and ALEPH0 >= ALEPH0 and not ALEPH0 > ALEPH0
 
     def test_sort_order_is_total(self):
         cards = [ALEPH1, fin(3), ALEPH0, fin(0), fin(3)]

@@ -1123,7 +1123,7 @@ class TestInjectiveByConstruction:
         # Each round's stabiliser is a disjoint union of maps between blocks.
         rng = make_rng(89)
         letters = set()
-        for i in range(40):
+        for i in range(60):
             f = compose(random_total(rng), SHIFT if i % 3 == 0 else DOUBLE)
             p = random_partition(rng)
             if stats(f).defect != ZERO:

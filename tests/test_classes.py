@@ -1,21 +1,24 @@
 """Membership in the candidate maximal classes S, P, V and A."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from ixm.cardinal import ALEPH0, ALEPH1, fin
-from ixm.chart import IDENTITY_CHART, Piece, invert, make_chart
+from ixm.chart import IDENTITY_CHART, Piece, invert, make_chart, render_chart
 from ixm.classes import (
+    VARIANTS,
     ClassId,
     dual_class,
     in_class,
     in_class_v_alt,
     parse_class,
     render_class,
+    separating_witness,
 )
 from ixm.epset import Prog, from_finite, from_prog
-from ixm.errors import ParameterError
+from ixm.errors import ParameterError, UnsupportedWitnessError
 from ixm.partition_action import make_partition, mod_partition
 from ixm.sampling import make_rng, random_mixed
 from ixm.ultrafilter import ZERO_TOWER, make_tower
@@ -130,3 +133,48 @@ def test_round_trip_of_the_shortened_forms():
     for c in classes:
         assert parse_class(render_class(c)) == c
     assert render_class(CLASSES["V0"]) == "V[uf=tower;mu=aleph0]"
+
+
+# S at both thresholds, P over 4 anchor sets, V over 5 towers and A over 4
+# residue partitions: 24 plain classes, 72 with their variants.
+WITNESS_BASES = (
+    [ClassId("S", mu=mu) for mu in (fin(1), ALEPH0)]
+    + [
+        ClassId("P", mu=mu, gamma=from_finite(g))
+        for g in ([0], [3], [1, 2], [0, 4, 9])
+        for mu in (ALEPH0, ALEPH1)
+    ]
+    + [
+        ClassId("V", mu=mu, uf=uf)
+        for uf in (
+            ZERO_TOWER,
+            make_tower([(2, 1, 1)]),
+            make_tower([(3, 2, 4)]),
+            make_tower([(2, 2, 3), (5, 1, 2)]),
+            make_tower([(7, 1, 5)]),
+        )
+        for mu in (ALEPH0, ALEPH1)
+    ]
+    + [ClassId("A", partition=mod_partition(n)) for n in (2, 3, 4, 6)]
+)
+
+
+def test_witness_table_is_pinned():
+    # One line per ordered pair: the witness chart, or the refusal message.
+    # A recipe change that alters any witness or refusal changes the digest.
+    classes = [variant(c, v) for c in WITNESS_BASES for v in VARIANTS]
+    assert len(classes) == 72
+    digest = hashlib.sha256()
+    refused = 0
+    for c1 in classes:
+        for c2 in classes:
+            try:
+                text = render_chart(separating_witness(c1, c2))
+            except UnsupportedWitnessError as exc:
+                text = f"refused: {exc}"
+                refused += 1
+            digest.update(f"{render_class(c1)} | {render_class(c2)} | {text}\n".encode())
+    assert refused == 145
+    assert digest.hexdigest() == (
+        "acc031029834a519809f42a78a97e96179407920827f980fb3af55c08252a1e4"
+    )

@@ -241,7 +241,7 @@ class TestRelationWordSearch:
 
 # The 11-piece chart that `laws --suite spreader --seed 51000` draws as case 12
 # (printed by `render_chart`).  Spreading it over the residues mod 4 builds a
-# chart of about 16,800 pieces.
+# chart of 4,560 pieces.
 SPREAD_CASE = (
     "chart { piece (0 mod 11 from 0) -> (5 mod 24 from 0); piece (1 mod 11 from 0) -> (4 mod 6 from 0); "
     "piece (2 mod 11 from 0) -> (9 mod 24 from 0); piece (3 mod 11 from 0) -> (7 mod 12 from 0); "
@@ -253,37 +253,37 @@ SPREAD_CASE = (
 
 
 # The total chart of defect 7 that `laws --suite all --seed 1047 --cases 25`
-# draws as spreader case 18.  Spreading it over the residues mod 4 doubles the
-# word once per short block, and the product's period outgrows the mask limit.
-GUARDED_SPREAD_CASE = (
+# draws as spreader case 18.  Over the residues mod 4, a word that doubled
+# (w*a*w) for each short block outgrew the mask limit; f^4*a*w grows linearly.
+FINITE_DEFECT_SPREAD_CASE = (
     "chart { pair 0 -> 1; pair 1 -> 4; piece (2 mod 4 from 0) -> (0 mod 2 from 3); "
     "piece (1 mod 2 from 1) -> (1 mod 4 from 4); piece (0 mod 4 from 1) -> (3 mod 4 from 2); }"
 )
 
 
 class TestDefectSpreader:
-    def test_a_spread_past_the_mask_limit_is_refused_in_time(self):
-        # A spreader that kept periods bounded would spread this chart
-        # instead; until then it must be refused, not hang.
+    def test_a_finite_defect_spread_stays_within_the_mask_limit(self):
+        # In a subprocess, so that a slow spread fails the test instead of
+        # hanging the run.
         code = (
             "import sys\n"
-            "from ixm.chart import parse_chart\n"
-            "from ixm.errors import ResourceGuardError\n"
+            "from ixm.cardinal import fin\n"
+            "from ixm.chart import im_set, is_total, parse_chart\n"
+            "from ixm.epset import NATURALS\n"
             "from ixm.partition_action import defect_spreader, mod_partition\n"
-            "try:\n"
-            "    defect_spreader(mod_partition(4), parse_chart(sys.argv[1]))\n"
-            "except ResourceGuardError as e:\n"
-            "    print(e)\n"
-            "else:\n"
-            "    sys.exit('spread without a refusal')\n"
+            "p = mod_partition(4)\n"
+            "out = defect_spreader(p, parse_chart(sys.argv[1]))\n"
+            "assert out.replay() == out.chart\n"
+            "assert is_total(out.chart)\n"
+            "missing = NATURALS.difference(im_set(out.chart))\n"
+            "assert all(missing.intersect(b).card() >= fin(7) for b in p.blocks)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run(
-            [sys.executable, "-c", code, GUARDED_SPREAD_CASE],
+            [sys.executable, "-c", code, FINITE_DEFECT_SPREAD_CASE],
             capture_output=True, text=True, env=env, timeout=30,
         )
         assert done.returncode == 0, done.stderr
-        assert "mask limit" in done.stdout
 
     def test_a_large_spread_finishes_in_time(self):
         # In a subprocess, so that a slow spread fails the test instead of
@@ -306,4 +306,4 @@ class TestDefectSpreader:
             [sys.executable, "-c", code, SPREAD_CASE], capture_output=True, text=True, env=env, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert int(done.stdout) > 10_000
+        assert int(done.stdout) <= 4_560
