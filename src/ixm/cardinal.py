@@ -3,8 +3,9 @@
 Every size that actually occurs as a statistic of a partial bijection of
 the naturals is either a finite number or aleph-0.  Aleph-1 exists purely
 as a classification bound (the successor of the ground cardinality), so
-it may be compared against but never added: addition involving it raises
-instead of guessing at transfinite arithmetic.
+it may be compared against but never added: ``+`` on it raises instead of
+guessing at transfinite arithmetic.  Cards order with ``<`` and add with
+``+`` like ints, so one formula serves both.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ class Card:
     def infinite(self) -> bool:
         return self.level != _FIN
 
+    def __add__(self, other: Card) -> Card:
+        """Cardinal sum.  Rejects aleph-1 operands: nothing in the workbench
+        ever produces one as a size, so an attempt to add it is a bug."""
+        if _A1 in (self.level, other.level):
+            raise ParameterError("cardinal addition is not defined for aleph1 operands")
+        if _A0 in (self.level, other.level):
+            return ALEPH0
+        return fin(self.value + other.value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Card({render_card(self)!r})"
 
@@ -57,16 +67,6 @@ ZERO = fin(0)
 ONE = fin(1)
 ALEPH0 = Card(_A0)
 ALEPH1 = Card(_A1)
-
-
-def card_add(a: Card, b: Card) -> Card:
-    """Cardinal sum.  Rejects aleph-1 operands: nothing in the workbench
-    ever produces one as a size, so an attempt to add it is a bug."""
-    if a == ALEPH1 or b == ALEPH1:
-        raise ParameterError("cardinal addition is not defined for aleph1 operands")
-    if a == ALEPH0 or b == ALEPH0:
-        return ALEPH0
-    return fin(a.value + b.value)
 
 
 def render_card(c: Card) -> str:

@@ -559,7 +559,7 @@ def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
     anchor = (gamma.low & -gamma.low).bit_length() - 1
     block = p.blocks[p.block_of(anchor)]
     ceiling = gamma.low.bit_length()
-    other = next(x for x in block.iter_ascending() if x > ceiling)
+    other = next(x for x in block if x > ceiling)
     return transposition(anchor, other)
 
 

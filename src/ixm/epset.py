@@ -210,8 +210,6 @@ class EPSet(_EPSetFields):
                 yield x
             x += 1
 
-    iter_ascending = __iter__
-
     # -- Boolean algebra -------------------------------------------------
 
     def union(self, other: "EPSet") -> "EPSet":
@@ -269,12 +267,12 @@ class EPSet(_EPSetFields):
         """The k smallest elements as a finite EPSet."""
         if self.card() < fin(k):
             raise ParameterError(f"set has fewer than {k} elements")
-        return from_finite(itertools.islice(self.iter_ascending(), k))
+        return from_finite(itertools.islice(self, k))
 
     def min(self) -> int:
         if self.is_empty():
             raise ParameterError("empty set has no minimum")
-        return next(self.iter_ascending())
+        return next(iter(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"EPSet({render_epset(self)!r})"

@@ -165,7 +165,7 @@ def low_rank_ideal(n: int, max_rank: int) -> frozenset:
 
 def strict_ideal(n: int) -> frozenset:
     """Everything of non-maximal rank (the non-permutations)."""
-    return frozenset(u for u in all_fcharts(n) if fchart_rank(u) < n)
+    return low_rank_ideal(n, n - 1)
 
 
 def partial_identities(n: int) -> frozenset:

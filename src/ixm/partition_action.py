@@ -362,12 +362,8 @@ def padding_perm(p: FinPartition, f: Chart, g: Chart) -> Chart:
                     pieces.append(bijection_between(src, dst))
                     used_src.append(src)
                     used_dst.append(dst)
-        rest_src = block
-        for s in used_src:
-            rest_src = rest_src.difference(s)
-        rest_dst = block
-        for s in used_dst:
-            rest_dst = rest_dst.difference(s)
+        rest_src = block.difference(union_all(used_src))
+        rest_dst = block.difference(union_all(used_dst))
         pieces.append(bijection_between(rest_src, rest_dst))
     a = _disjoint_union(*pieces)
     want = rel_compose(rf, rg)

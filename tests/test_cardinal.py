@@ -8,7 +8,6 @@ from ixm.cardinal import (
     ONE,
     ZERO,
     Card,
-    card_add,
     fin,
     parse_card,
     render_card,
@@ -43,21 +42,21 @@ class TestConstruction:
 
 class TestAdd:
     def test_finite_addition(self):
-        assert card_add(fin(2), fin(3)) == fin(5)
+        assert fin(2) + fin(3) == fin(5)
 
     def test_infinite_absorbs_finite(self):
-        assert card_add(fin(7), ALEPH0) == ALEPH0
-        assert card_add(ALEPH0, fin(7)) == ALEPH0
+        assert fin(7) + ALEPH0 == ALEPH0
+        assert ALEPH0 + fin(7) == ALEPH0
 
     def test_infinite_plus_infinite(self):
         # mu + mu = mu for the one infinite size that arises as a statistic.
-        assert card_add(ALEPH0, ALEPH0) == ALEPH0
+        assert ALEPH0 + ALEPH0 == ALEPH0
 
     def test_aleph1_operand_rejected(self):
         with pytest.raises(ParameterError):
-            card_add(ALEPH1, fin(0))
+            ALEPH1 + fin(0)
         with pytest.raises(ParameterError):
-            card_add(ALEPH0, ALEPH1)
+            ALEPH0 + ALEPH1
 
 
 class TestOrdering:

@@ -310,7 +310,7 @@ class TestAccessors:
             EMPTY.min()
 
     def test_iter_ascending(self):
-        it = ODDS.iter_ascending()
+        it = iter(ODDS)
         assert [next(it) for _ in range(4)] == [1, 3, 5, 7]
 
     def test_membership_protocol(self):
