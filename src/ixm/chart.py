@@ -49,6 +49,7 @@ from .epset import (
     prog_from_parts,
     render_prog,
     union_all,
+    union_parts,
     unions_by_step,
 )
 from .errors import InjectivityError, InternalError, ParameterError, ParseError, ResourceGuardError
@@ -400,8 +401,12 @@ def is_partial_identity(c: Chart) -> bool:
 
 @lru_cache(maxsize=65536)
 def image_of_set(f: Chart, s: EPSet) -> EPSet:
-    """The set {(x)f : x in s and x in dom f}: the pair images, and one
-    `affine_image` per piece, merged by `union_all`; cached like `stats`."""
+    """The set {(x)f : x in s and x in dom f}; cached like `stats`.
+
+    Built in one pass: each piece's image as raw masks (`affine_image`),
+    merged with the pair images by `union_parts`.  The cost rule: one
+    canonical form per image period, whatever the number of pieces and
+    pairs, and `union_all` only across pieces of different image periods."""
     return _image(s, f.pairs, f.pieces)
 
 
@@ -412,10 +417,8 @@ def preimage_of_set(f: Chart, s: EPSet) -> EPSet:
 
 
 def _image(s: EPSet, pairs, pieces) -> EPSet:
-    hit = [y for x, y in pairs if x in s]
-    parts = [from_finite(hit)] if hit else []
-    parts.extend(affine_image(s, src, dst) for src, dst in pieces)
-    return union_all(parts)
+    parts = [part for src, dst in pieces if (part := affine_image(s, src, dst)) is not None]
+    return union_parts(parts, [y for x, y in pairs if x in s])
 
 
 # -- Constructions -----------------------------------------------------------

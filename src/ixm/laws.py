@@ -599,11 +599,11 @@ def _suite_chart_laws(ctx, rng, cases):
             f"case {i}: composite domain/image bounds",
         )
         a = random_epset(rng)
-        hi = _window(a, dom_set(f), im_set(f))
         for name, back, got in (
             ("image", invert(f), image_of_set(f, a)),
             ("preimage", f, preimage_of_set(f, a)),
         ):
+            hi = _window(a, dom_set(f), im_set(f), got)
             ctx.check(
                 all(
                     ((y := apply_chart(back, x)) is not None and y in a) == (x in got)

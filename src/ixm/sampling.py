@@ -19,7 +19,6 @@ from .chart import (
     identity_on,
     invert,
     make_chart,
-    transposition,
 )
 from .classes import ClassId, in_class
 from .epset import EPSet, NATURALS, Prog, from_finite, from_prog, make_epset
@@ -117,10 +116,16 @@ def random_permutation(rng: random.Random) -> Chart:
         )
     else:
         base = IDENTITY_CHART
-    for _ in range(rng.randint(0, 3)):
-        u, v = rng.sample(range(MAX_FIRST), 2)
-        base = compose(base, transposition(u, v))
-    return base
+    swaps = [rng.sample(range(MAX_FIRST), 2) for _ in range(rng.randint(0, 3))]
+    if not swaps:
+        return base
+    # The swaps in turn are one permutation of range(top), fixing the rest.
+    top = max(map(max, swaps)) + 1
+    perm = list(range(top))  # perm[x] is x's image under the swaps so far
+    for u, v in swaps:
+        i, j = perm.index(u), perm.index(v)
+        perm[i], perm[j] = v, u
+    return compose(base, make_chart(enumerate(perm), (Piece(Prog(top, 1), Prog(top, 1)),)))
 
 
 def random_total(rng: random.Random) -> Chart:

@@ -66,11 +66,13 @@ from ixm.partition_action import (
     padding_perm,
 )
 from ixm.sampling import (
+    MAX_FIRST,
     make_rng,
     random_chart,
     random_epset,
     random_mixed,
     random_partition,
+    random_permutation,
     random_total,
 )
 
@@ -425,6 +427,80 @@ class TestSetImagesAgainstOracle:
             assert preimage_of_set(f, s) == _preimage_oracle(f, s)
 
 
+def _image_periods(f, s):
+    """The image periods of f's pieces on s, one per piece whose image is
+    not empty, as the image kernel groups them (a finite part counts as 1)."""
+    parts = [epset_module.affine_image(s, pc.src, pc.dst) for pc in f.pieces]
+    return [part.period if part.residues else 1 for part in parts if part is not None]
+
+
+def _merge_sets(rng):
+    return [NATURALS, EVENS, ODDS, MULT3, EMPTY, from_finite(range(0, 90, 7))] + [
+        random_epset(rng) for _ in range(40)
+    ]
+
+
+# Three pieces onto 0 mod 4, 2 mod 8 and 1 mod 6 from 1,000 on, and pairs
+# from below the pieces' sources, landing below and past the pieces' images.
+_MIXED_PERIODS = make_chart(
+    ((0, 3), (4, 7), (5, 99_999), (8, 6_003), (11, 40_001)),
+    (
+        Piece(Prog(30, 3), Prog(1_000, 4)),
+        Piece(Prog(31, 3), Prog(1_002, 8)),
+        Piece(Prog(32, 3), Prog(1_003, 6)),
+    ),
+)
+# One piece onto 0 mod 5 from 500, and pairs on both sides of its image.
+_ONE_PIECE_AND_PAIRS = make_chart(
+    ((0, 2), (1, 50_001), (3, 7_003)), (Piece(Prog(10, 2), Prog(500, 5)),)
+)
+
+
+class TestSetImageMerges:
+    """The image kernel merges the parts that share an image period before
+    one canonical form; each chart here drives one merge path, checked
+    against the piece-by-piece oracle for images and preimages."""
+
+    CHARTS = {
+        "bijection_with_many_residues": bijection_between(
+            make_epset(0, 12, (0, 1, 3, 5, 7, 8), ()),
+            make_epset(5, 12, (2, 4, 6, 9, 10, 11), (1, 3)),
+        ),
+        "block_shuffle": block_shuffle(mod_partition(4), (2, 3, 1, 0)),
+        "mixed_periods_and_pairs": _MIXED_PERIODS,
+        "one_piece_and_pairs": _ONE_PIECE_AND_PAIRS,
+        "pairs_only": make_chart(((0, 7), (3, 1), (9, 12_000)), ()),
+        "empty": EMPTY_CHART,
+    }
+
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_images_and_preimages_equal_the_oracle(self, name):
+        f = self.CHARTS[name]
+        for s in _merge_sets(make_rng(83)):
+            assert image_of_set(f, s) == _image_oracle(f, s), (name, s)
+            assert preimage_of_set(f, s) == _preimage_oracle(f, s), (name, s)
+
+    def test_the_charts_reach_each_merge_path(self):
+        one = _image_periods(self.CHARTS["bijection_with_many_residues"], NATURALS)
+        assert len(one) >= 3 and len(set(one)) == 1
+        shuffle = _image_periods(self.CHARTS["block_shuffle"], NATURALS)
+        assert len(shuffle) >= 3 and len(set(shuffle)) == 1
+        assert sorted(_image_periods(_MIXED_PERIODS, NATURALS)) == [4, 6, 8]
+        assert _image_periods(_ONE_PIECE_AND_PAIRS, NATURALS) == [5]
+        # Pairs land below and past every piece's image threshold.
+        for f in (_MIXED_PERIODS, _ONE_PIECE_AND_PAIRS):
+            tops = [image_of_set(f, from_prog(pc.src)).threshold for pc in f.pieces]
+            ys = [y for _, y in f.pairs]
+            assert min(ys) < min(tops) and max(ys) > max(tops)
+
+    def test_an_empty_image(self):
+        f = make_chart(((1, 4), (3, 9)), (Piece(Prog(10, 2), Prog(7, 3)),))
+        assert image_of_set(f, ODDS.difference(from_finite([1, 3]))) == EMPTY
+        assert image_of_set(f, from_finite([0, 2, 5])) == EMPTY
+        assert preimage_of_set(f, from_finite([0, 5, 8])) == EMPTY
+        assert image_of_set(EMPTY_CHART, NATURALS) == EMPTY
+
+
 class TestSetImageCost:
     SHIFT5 = make_chart((), (Piece(Prog(0, 1), Prog(5, 1)),))  # x -> x + 5
     THIRD = make_chart((), (Piece(Prog(0, 3), Prog(0, 1)),))  # 3x -> x
@@ -490,6 +566,46 @@ class TestTransposition:
             transposition(0, 2**24)
         with pytest.raises(ParameterError):
             transposition(3, 3)
+
+
+def _random_permutation_by_transpositions(rng):
+    """The sampler as it was: one `compose` with a `transposition` per swap.
+    `random_permutation` draws the same numbers and composes once."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randint(1, 4)
+        pi = list(range(n))
+        rng.shuffle(pi)
+        base = make_chart((), (Piece(Prog(i, n), Prog(pi[i], n)) for i in range(n)))
+    elif kind == 1:
+        n = rng.randint(2, 5)
+        i, j = rng.sample(range(n), 2)
+        pi = list(range(n))
+        pi[i], pi[j] = j, i
+        base = make_chart((), (Piece(Prog(k, n), Prog(pi[k], n)) for k in range(n)))
+    elif kind == 2:
+        base = make_chart(
+            (),
+            (
+                Piece(Prog(0, 4), Prog(1, 2)),
+                Piece(Prog(2, 4), Prog(2, 4)),
+                Piece(Prog(1, 2), Prog(0, 4)),
+            ),
+        )
+    else:
+        base = IDENTITY_CHART
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(MAX_FIRST), 2)
+        base = compose(base, transposition(u, v))
+    return base
+
+
+class TestRandomPermutation:
+    def test_equals_the_transposition_chain(self):
+        for seed in range(300):
+            got, want = random.Random(seed), random.Random(seed)
+            assert random_permutation(got) == _random_permutation_by_transpositions(want), seed
+            assert got.getstate() == want.getstate(), seed
 
 
 class TestPieceOrder:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ixm.cardinal import ALEPH0, fin
 from ixm.epset import (
+    _MASK_OR_WIDTH,
     _RENDER_DENSITY,
     EMPTY,
     MAX_BITS,
@@ -23,6 +24,7 @@ from ixm.epset import (
     Bits,
     EPSet,
     Prog,
+    _mask,
     _primes,
     from_finite,
     from_prog,
@@ -644,6 +646,32 @@ class TestBits:
         s = make_epset(9, 3, (0,), {1, 6})
         assert isinstance(s.residues, Bits) and isinstance(s.low, Bits)
         assert s.residues == 0b1 and s.low == 0b10
+
+
+class TestMask:
+    """`_mask` ORs single bits up to _MASK_OR_WIDTH and fills a bytearray past it."""
+
+    @pytest.mark.parametrize("width", [_MASK_OR_WIDTH, _MASK_OR_WIDTH + 1])
+    def test_both_paths_build_the_mask(self, width):
+        rng = random.Random(width)
+        for xs in (
+            [],
+            [0],
+            [width - 1],
+            [5, 5, 9, 0],
+            rng.sample(range(width), 7),
+            rng.sample(range(width), width // 2),
+            range(width),
+        ):
+            assert _mask(xs, width) == sum(1 << x for x in set(xs))
+            assert _mask(iter(xs), width) == _mask(list(xs), width)
+
+    @pytest.mark.parametrize("width", [1, _MASK_OR_WIDTH, _MASK_OR_WIDTH + 1, 5_000])
+    @pytest.mark.parametrize("offset", [-1, 0, 64])
+    def test_a_point_out_of_range_raises_on_both_paths(self, width, offset):
+        bad = -1 if offset < 0 else width + offset
+        with pytest.raises(ParameterError, match=r"low part entries must lie in \[0, threshold\)"):
+            _mask([0, bad], width)
 
 
 def _mask_of(members) -> int:

@@ -25,7 +25,7 @@ from ixm.chart import (
     transposition,
 )
 from ixm.classes import DOUBLE, VARIANTS, in_class, render_class
-from ixm.epset import NATURALS, residue_class
+from ixm.epset import NATURALS, from_finite, residue_class
 from ixm.errors import ParameterError, ResourceGuardError
 from ixm.finite_model import all_fcharts, fchart_collapse, fchart_defect, fchart_rank, sym_group
 from ixm.laws import _FAIL_CAP, _Ctx, _lemma_checks, _pair_tag, run_suite, suite_names
@@ -117,6 +117,14 @@ def test_the_ultra_stab_keeper_moves_points_yet_fixes_an_accepted_class(monkeypa
         fixed = residue_class(uf.residue_at(2), 2)
         assert is_permutation(keeper) and keeper != IDENTITY_CHART
         assert restrict(keeper, fixed) == identity_on(fixed)
+
+
+def test_chart_laws_see_a_wrong_point_past_every_other_threshold(monkeypatch):
+    # An image with one point too many, far past the thresholds of the set,
+    # the domain and the image: the window must reach it.
+    real = laws.image_of_set
+    monkeypatch.setattr(laws, "image_of_set", lambda f, s: real(f, s).union(from_finite([700])))
+    assert run_suite("chart-laws", seed=3, cases=200).failures
 
 
 # -- The membership memo ------------------------------------------------------
