@@ -44,13 +44,11 @@ from .epset import (
     Prog,
     _guard,
     affine_image,
-    from_finite,
+    prog_part,
     progs_intersect,
     prog_from_parts,
     render_prog,
-    union_all,
     union_parts,
-    unions_by_step,
 )
 from .errors import InjectivityError, InternalError, ParameterError, ParseError, ResourceGuardError
 
@@ -350,21 +348,17 @@ def restrict(f: Chart, s: EPSet) -> Chart:
 
 @lru_cache(maxsize=65536)
 def dom_set(c: Chart) -> EPSet:
-    """The domain: the piece sources grouped by step, each step's group
-    built as one set (`unions_by_step`), then merged with the pair points
-    by `union_all`.  A chart of k pieces of one step thus holds one
-    residue mask as wide as the step, not k of them."""
-    parts = unions_by_step(pc.src for pc in c.pieces)
-    parts.append(from_finite(x for x, _ in c.pairs))
-    return union_all(parts)
+    """The domain: each piece source one position (`prog_part`), merged
+    with the pair points by `union_parts`, one mask per period, as images
+    are.  A chart of k pieces of one step thus holds one residue mask as
+    wide as the step, not k of them."""
+    return union_parts((prog_part(pc.src) for pc in c.pieces), [x for x, _ in c.pairs])
 
 
 @lru_cache(maxsize=65536)
 def im_set(c: Chart) -> EPSet:
-    """The image, built as `dom_set` builds the domain."""
-    parts = unions_by_step(pc.dst for pc in c.pieces)
-    parts.append(from_finite(y for _, y in c.pairs))
-    return union_all(parts)
+    """The image, built as `dom_set` builds the domain, from the destinations."""
+    return union_parts((prog_part(pc.dst) for pc in c.pieces), [y for _, y in c.pairs])
 
 
 @dataclass(frozen=True)
@@ -403,9 +397,10 @@ def is_partial_identity(c: Chart) -> bool:
 def image_of_set(f: Chart, s: EPSet) -> EPSet:
     """The set {(x)f : x in s and x in dom f}; cached like `stats`.
 
-    Built in one pass: each piece's image as raw masks (`affine_image`),
-    merged with the pair images by `union_parts`.  The cost rule: one
-    canonical form per image period, whatever the number of pieces and
+    Built in one pass: each piece's image as residue positions
+    (`affine_image`), merged with the pair images by `union_parts`, the
+    merge that builds domains and images too.  The cost rule: one mask and
+    one canonical form per image period, whatever the number of pieces and
     pairs, and `union_all` only across pieces of different image periods."""
     return _image(s, f.pairs, f.pieces)
 
@@ -417,8 +412,10 @@ def preimage_of_set(f: Chart, s: EPSet) -> EPSet:
 
 
 def _image(s: EPSet, pairs, pieces) -> EPSet:
+    # A pair source is tested against the bit of s that decides it, with no call.
+    n, m, res, low = s.threshold, s.period, s.residues, s.low
     parts = [part for src, dst in pieces if (part := affine_image(s, src, dst)) is not None]
-    return union_parts(parts, [y for x, y in pairs if x in s])
+    return union_parts(parts, [y for x, y in pairs if (low >> x if x < n else res >> x % m) & 1])
 
 
 # -- Constructions -----------------------------------------------------------

@@ -19,19 +19,20 @@ what makes the symbolic side of the workbench decidable.  Masks are
 capped at MAX_BITS bits: a threshold or (joint) period beyond it raises
 ResourceGuardError before anything is allocated.
 
-An image of a set under a chart is built in one pass.  `affine_image`
-maps s = (N, m, R, L) through each piece src.value(i) -> dst.value(i)
-directly, to raw masks that are not yet canonical.  From the first source
-index i0 that the tail of s decides, with source point x0 and
-g = gcd(m, ss), the source indices that hit s repeat mod k = m/g: a
-residue r of R with r = x0 (mod g) is hit at the indices
-j = (r - x0)/g * (ss/g)^-1 (mod k), and no other residue is hit.  Those
-indices, spread by the destination step, are the image's tail.  Its
-Python loops visit set bits only (of R, of the index word and of the low
-part), never the indices below the threshold or the positions of the
-word.  `union_parts` then ORs the parts that share an image period, and
-the pair points, at their joint threshold, and canonicalises once per
-period; only parts of different periods meet in `union_all`.
+Every set a chart carries (its domain and image, the image or preimage
+of a set) is built by one merge, `union_parts`, from parts that hold
+their tail as residue positions, not masks: one for a progression
+(`prog_part`), those `affine_image` computes for a piece's image of a
+set.  The merge makes one residue mask per period and canonicalises once
+per period.  `affine_image` maps s = (N, m, R, L) through a piece
+src.value(i) -> dst.value(i) directly.  From the first source index i0
+that the tail of s decides, with source point x0 and g = gcd(m, ss), the
+source indices that hit s repeat mod k = m/g: a residue r of R with
+r = x0 (mod g) is hit at the indices j = (r - x0)/g * (ss/g)^-1 (mod k),
+and no other residue is hit.  Those indices, spread by the destination
+step, are the tail positions.  Its Python loops visit set bits only (of
+R, of the index word and of the low part), never the indices below the
+threshold or the positions of the word.
 
 Iterating and rendering a mask cost about what its text costs.  A mask
 with at least one bit in ten set is listed by a C-level walk over its
@@ -393,9 +394,9 @@ def _binary(op, a: EPSet, b: EPSet) -> EPSet:
     return _canonical(n, m, op(ra, rb), op(la, lb))
 
 
-def _lift(s: _EPSetFields, n: int, m: int) -> tuple[int, int]:
+def _lift(s: EPSet, n: int, m: int) -> tuple[int, int]:
     """The masks of s at a period m its own divides and a threshold n >= its
-    own; s may be raw fields, and with no residues it lifts to any m."""
+    own; with no residues it lifts to any m."""
     t, p, res = s.threshold, s.period, s.residues
     low = s.low if t == n else s.low | _repeat(res, p, n) >> t << t
     return (res if p == m else _repeat(res, p, m)), low
@@ -417,9 +418,9 @@ def from_finite(xs) -> EPSet:
 
 def from_prog(p: Prog) -> EPSet:
     # A count of one is coprime to any period, so `step` is minimal, and the
-    # last non-member of the class lies one step before `first`.
-    _guard(p.first, p.step)
-    return EPSet(max(p.first - p.step + 1, 0), p.step, Bits(1 << (p.first % p.step)), Bits(0))
+    # part's threshold, one past the class's last non-member, is least.
+    n, m, (r,), _ = prog_part(p)
+    return EPSet(n, m, Bits(1 << r), Bits(0))
 
 
 def residue_class(r: int, m: int) -> EPSet:
@@ -428,37 +429,29 @@ def residue_class(r: int, m: int) -> EPSet:
     return from_prog(Prog(r % m, m))
 
 
-def unions_by_step(progs) -> list[EPSet]:
-    """The union of each step's progressions, one EPSet per distinct step,
-    in order of first appearance.
+class _Part(NamedTuple):
+    """A raw set for `union_parts`: the mask `low` below `threshold`, and from
+    it on the x with x % period among the positions `tail` (read once; None
+    for an empty tail)."""
 
-    Each step's set is built in one pass: its residue mask marks every
-    start's residue, and its low part holds each progression's points below
-    the group's threshold (the largest start), so a family of k
-    progressions of step m holds one m-bit mask, not k of them.  A
-    progression with one point down there adds just its start; a longer
-    one ORs in its repeated pattern.
-    """
-    groups: dict[int, list[int]] = {}
-    for p in progs:
-        groups.setdefault(p.step, []).append(p.first)
-    out = []
-    for m, firsts in groups.items():
-        n = max(firsts)
-        _guard(n, m)
-        low = _mask((f for f in firsts if n - m <= f < n), n)
-        for f in firsts:
-            if f < n - m:
-                low |= _repeat(1, m, n - f) << f
-        out.append(_canonical(n, m, _mask((f % m for f in firsts), m), low))
-    return out
+    threshold: int
+    period: int
+    tail: object
+    low: int
 
 
-def affine_image(s: EPSet, src: Prog, dst: Prog) -> _EPSetFields | None:
+def prog_part(p: Prog) -> _Part:
+    """The progression p as a part of one position, from one past the last
+    non-member of its class (one step before `first`); p is guarded first."""
+    _guard(p.first, p.step)
+    return _Part(max(p.first - p.step + 1, 0), p.step, (p.first % p.step,), 0)
+
+
+def affine_image(s: EPSet, src: Prog, dst: Prog) -> _Part | None:
     """The image of s under the affine piece src.value(i) -> dst.value(i),
-    built in one pass as raw fields (threshold, period, residue mask, low
-    mask) for `union_parts` to merge and canonicalise, or None when the
-    image is empty.
+    built in one pass as a `_Part` with lazy tail positions, or None when
+    it is empty.  `union_parts` merges it into one mask per period, as it
+    merges the progressions of domains and images.
 
     With s = (n, m, R, L) and src = sf + i*ss, dst = df + i*ds:
 
@@ -472,8 +465,8 @@ def affine_image(s: EPSet, src: Prog, dst: Prog) -> _EPSetFields | None:
       point x0 + j*ss is in s iff it is r (mod m) for some r in R with
       r = x0 (mod g), which fixes j = (r - x0)/g * (ss/g)^-1 (mod k).  Those
       j form a k-bit word, cut to its least period p; the image's tail then
-      has period p*ds, with bit (y0 + j*ds) mod p*ds set for each j in the
-      word, where y0 = dst.value(i0).
+      has period p*ds and the positions (y0 + j*ds) mod p*ds for the j in
+      the word, where y0 = dst.value(i0).
     - Low part.  The points of L on the source below x0, each sent to its
       destination; all lie below y0 - ds + 1, the threshold used.
 
@@ -482,7 +475,7 @@ def affine_image(s: EPSet, src: Prog, dst: Prog) -> _EPSetFields | None:
     of the word and of the low part they map (none at all for a shift,
     where ss == ds and the low part is moved by one shift); the disagreement
     search is bitwise on L.  Threshold and period are guarded before
-    the image's masks are allocated; the word itself is no wider than m.
+    the image's low mask is allocated; the word itself is no wider than m.
     For an infinite image the period returned is the least period of its
     tail (residues in one class mod ds repeat only at multiples of ds);
     the threshold need not be the least.
@@ -510,53 +503,56 @@ def affine_image(s: EPSet, src: Prog, dst: Prog) -> _EPSetFields | None:
     n_img, m_img = max(df + (i0 - 1) * ds + 1, 0), p * ds
     _guard(n_img, m_img)
     y0 = df + i0 * ds
-    if p == 1:
-        res = word << y0 % ds
-    else:
-        res = _mask(((y0 + j * ds) % m_img for j in Bits(word)), m_img)
+    tail = ((y0 + j * ds) % m_img for j in Bits(word)) if word else None
     if ss == ds:
         low = lo << df >> sf
     else:
         low = _mask((df + (x - sf) // ss * ds for x in Bits(lo)), n_img) if lo else 0
-    return _EPSetFields(n_img, m_img, res, low)
+    return _Part(n_img, m_img, tail, low)
 
 
 def union_parts(parts, points) -> EPSet:
-    """The union of raw parts, as `affine_image` returns them, and of the
-    finite `points`, canonicalised once per period.
+    """The union of `_Part`s and of the finite `points`: positions in, one
+    mask per period out, for domains, images and preimages alike.
 
-    The points become one more part of period 1, guarded as `from_finite`
-    guards them; a part with no residues is finite and counts as period 1
-    too.  The parts that share a period are ORed at their joint threshold,
-    each lifted there by `_lift`, and the result is canonicalised once.
-    A period-1 group beside a single other group joins it, since a finite
-    part lifts to any period.  Otherwise the groups, in order of first
-    appearance, go to `union_all`, which merges them as it would have merged
-    the parts' canonical forms, so every refusal stays the same.  Each
-    part was guarded on its own, so no joint mask within a group needs a
-    guard; most images have a single group and never reach `union_all`.
+    Parts are grouped by period in order of first appearance; finite parts
+    and the points (guarded after the parts, as `from_finite` guards them)
+    count as period 1, and a period-1 group beside one other group joins
+    it.  A group ORs its low masks, and makes one `_mask` call over the
+    tail positions of all its parts that share a threshold and a period;
+    each such mask is lifted to the group's period, and below the group's
+    threshold fills the low part as `_lift` does, so a far pair point
+    costs one fill, not one per piece.  Each tail is read once and each
+    group canonicalised once; only groups of different periods meet in
+    `union_all`.  Each part was guarded on its own, so no joint mask
+    within a group needs a guard.
     """
+    groups: dict[int, list[_Part]] = {}
+    for part in parts:
+        groups.setdefault(part.period if part.tail is not None else 1, []).append(part)
     if points:
         n = max(points) + 1
         _guard(n, 1)
-        parts = [_EPSetFields(n, 1, 0, _mask(points, n)), *parts]
-    if len(parts) < 2:
-        return _canonical(*parts[0]) if parts else EMPTY
-    groups: dict[int, list[_EPSetFields]] = {}
-    for part in parts:
-        groups.setdefault(part.period if part.residues else 1, []).append(part)
+        groups.setdefault(1, []).append(_Part(n, 1, None, _mask(points, n)))
     if len(groups) == 2 and 1 in groups:
         finite = groups.pop(1)
         m, tail = groups.popitem()
         groups[m] = finite + tail
     sets = []
     for m, group in groups.items():
-        n = max(part.threshold for part in group)
+        n = max([part.threshold for part in group])
         res = low = 0
-        for part in group:
-            r, lo = _lift(part, n, m)
-            res |= r
-            low |= lo
+        tails: dict[tuple[int, int], list] = {}
+        for t, p, tail, lo in group:
+            if lo:  # an OR copies the whole of `low`, however small `lo` is
+                low |= lo
+            if tail is not None:
+                tails.setdefault((t, p), []).append(tail)
+        for (t, p), same in tails.items():
+            r = _mask(itertools.chain.from_iterable(same), p)
+            if t < n:
+                low |= _repeat(r, p, n) >> t << t
+            res |= r if p == m else _repeat(r, p, m)
         sets.append(_canonical(n, m, res, low))
     return sets[0] if len(sets) == 1 else union_all(sets)
 

@@ -431,7 +431,7 @@ def _image_periods(f, s):
     """The image periods of f's pieces on s, one per piece whose image is
     not empty, as the image kernel groups them (a finite part counts as 1)."""
     parts = [epset_module.affine_image(s, pc.src, pc.dst) for pc in f.pieces]
-    return [part.period if part.residues else 1 for part in parts if part is not None]
+    return [part.period if part.tail is not None else 1 for part in parts if part is not None]
 
 
 def _merge_sets(rng):

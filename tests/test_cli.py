@@ -103,13 +103,23 @@ def _two_class_chart(s: int, t: int) -> str:
 
 
 def test_many_piece_chart_stats_are_fast(capsys):
-    # 1,024 pieces of step 524,286: the domain and image are built one
-    # mask per step, not one per piece.
+    # 1,024 pieces of step 524,286: the domain and image are built with one
+    # mask per period, not one per piece.
     start = time.perf_counter()
     assert main(["chart", "stats", _two_class_chart(1022, 1026)]) == 0
     assert time.perf_counter() - start < 3.0
     dom = from_prog(Prog(0, 1022)).union(from_prog(Prog(1, 1026)))
     assert f"dom={render_epset(dom)}\n" in capsys.readouterr().out
+
+
+def test_many_piece_chart_with_a_far_pair_stats_are_fast(capsys):
+    # The pair takes the domain's threshold past 1.6 * 10**7; the tails of
+    # the 1,024 pieces fill the low part up to it once, not once per piece.
+    chart = _two_class_chart(1022, 1026).replace("chart { ", "chart { pair 16000001 -> 16000001; ")
+    start = time.perf_counter()
+    assert main(["chart", "stats", chart]) == 0
+    assert time.perf_counter() - start < 3.0
+    assert "dom=ep N=16000002 m=524286 R={0,1,1022,1027," in capsys.readouterr().out
 
 
 def test_widest_many_piece_chart_stats_stay_small():
@@ -131,6 +141,49 @@ def test_widest_many_piece_chart_stats_stay_small():
     assert exit_code == 0
     assert max_rss_kb < 200 * 1024
     assert "dom=ep N=0 m=8388606 R={0,1,4094,4099," in done.stdout
+
+
+def test_images_under_the_widest_many_piece_chart_stay_small():
+    # The block relation reads the images of three blocks under the 4,096
+    # pieces of that chart: one mask per image period, not one per piece.
+    # The address-space cap makes a build of one mask per piece fail fast.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from ixm.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    part = "part blocks ep N=0 m=4 R={0} L={} | ep N=0 m=4 R={2} L={} | ep N=0 m=2 R={1} L={}"
+    argv = ["rel", "rho", part, _two_class_chart(4094, 4098)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert time.perf_counter() - start < 30.0
+    assert done.returncode == 0, done.stderr[-2000:]
+    exit_code, max_rss_kb = map(int, done.stderr.split())
+    assert exit_code == 0
+    assert max_rss_kb < 200 * 1024
+    assert done.stdout == "rel n=3 {(0,0),(1,1),(2,2)}\n"
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        # The image progression has a step past the mask limit.
+        "chart { piece (0 mod 1 from 0) -> (5 mod 1000000007 from 0) }",
+        # A domain progression with a step past it, then one with a start past it.
+        "chart { piece (0 mod 16777217 from 3) -> (0 mod 1 from 0) }",
+        "chart { piece (0 mod 2 from 16777300) -> (0 mod 2 from 0) }",
+    ],
+)
+def test_progressions_past_the_mask_limit_are_refused(chart, capsys):
+    start = time.perf_counter()
+    assert main(["chart", "stats", chart]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "-bit mask limit" in capsys.readouterr().err
 
 
 _CLOSURE = ["[1,2,3,0]", "[0,1,3,2]", "[0,1,2,_]"]

@@ -31,13 +31,14 @@ from ixm.epset import (
     make_epset,
     parse_epset,
     prog_from_parts,
+    prog_part,
     progs_intersect,
     render_epset,
     render_ints,
     render_prog,
     residue_class,
     union_all,
-    unions_by_step,
+    union_parts,
 )
 from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.sampling import make_rng, random_epset
@@ -551,13 +552,10 @@ class TestPeriodSearch:
                 from_finite(bad)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(PROGS, max_size=8))
-    def test_unions_by_step(self, progs):
-        groups = unions_by_step(progs)
-        assert len(groups) == len({p.step for p in progs})
-        for s, step in zip(groups, dict.fromkeys(p.step for p in progs)):
-            assert s == union_all([from_prog(p) for p in progs if p.step == step])
-        assert union_all(groups) == union_all([from_prog(p) for p in progs])
+    @given(st.lists(PROGS, max_size=8), st.lists(st.integers(0, 500), max_size=6))
+    def test_union_parts_of_progressions_and_points(self, progs, points):
+        want = union_all([from_prog(p) for p in progs] + [from_finite(points)])
+        assert union_parts(map(prog_part, progs), points) == want
 
 
 def _brute_primes(g: int) -> tuple[int, ...]:
