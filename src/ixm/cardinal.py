@@ -64,7 +64,6 @@ def fin(k: int) -> Card:
 
 
 ZERO = fin(0)
-ONE = fin(1)
 ALEPH0 = Card(_A0)
 ALEPH1 = Card(_A1)
 

@@ -557,7 +557,7 @@ def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
     gamma = c2.gamma
     p = c1.partition
     anchor = (gamma.low & -gamma.low).bit_length() - 1
-    block = p.blocks[p.block_of(anchor)]
+    block = next(b for b in p.blocks if anchor in b)
     ceiling = gamma.low.bit_length()
     other = next(x for x in block if x > ceiling)
     return transposition(anchor, other)

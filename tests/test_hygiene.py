@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is read somewhere in
-that module, every top-level function is called or named somewhere, and the
+that module, every top-level function is called or named somewhere, every
+module-level name it assigns is read somewhere outside the tests, and the
 package root holds every name the benchmark reads from it.  ``__init__`` is
-exempt from the first two, because it imports to re-export."""
+exempt from the first three, because it imports to re-export."""
 
 import ast
 import importlib.util
@@ -62,12 +63,33 @@ def test_the_benchmark_is_scanned():
     assert {"round.py", "tracer.py"} <= {p.name for p in BENCH}
 
 
-def test_every_top_level_function_is_used():
+def _library_and_benchmark_reads() -> set[str]:
     read = set()
     for path in MODULES:
         read |= _names_read(path.read_text())
     for path in BENCH:
         read |= _names_read(path.read_text(), strings=True)
+    return read
+
+
+def _assigned_names(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        n.id
+        for t in targets
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    ]
+
+
+def test_the_scan_sees_module_level_names():
+    tree = ast.parse("A = 1\nB, C = 2, 3\nD: int = 4\nA.x = 5\n")
+    assert [name for node in tree.body for name in _assigned_names(node)] == ["A", "B", "C", "D"]
+
+
+def test_every_top_level_function_is_used():
+    read = _library_and_benchmark_reads()
     unused = [
         f"{path.name}: {node.name}"
         for path in MODULES
@@ -75,6 +97,19 @@ def test_every_top_level_function_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in read
     ]
     assert unused == []
+
+
+def test_every_module_level_name_is_read():
+    read = _library_and_benchmark_reads()
+    unread = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in _assigned_names(node)
+        if name not in read
+    ]
+    assert unread == []
 
 
 def test_the_root_holds_every_name_the_benchmark_reads():

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import permutations, product
 from operator import itemgetter
 from pathlib import Path
@@ -15,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixm
-from ixm.chart import IDENTITY_CHART, Piece, make_chart
-from ixm.epset import Prog, residue_class
+from ixm.cardinal import ALEPH0
+from ixm.chart import IDENTITY_CHART, Piece, image_of_set, make_chart
+from ixm.epset import Prog, make_epset, residue_class
 from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.partition_action import (
     MAX_BLOCKS,
     BinRel,
-    _rho_mod,
     all_relations,
     canonical_rel,
     full_relation_word,
@@ -47,11 +46,43 @@ SRC = str(Path(ixm.__file__).resolve().parent.parent)
 DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
 
 
-def _residue_blocks(n):
-    """The residue classes mod n, as a partition without the modular path."""
-    p = make_partition(residue_class(i, n) for i in range(n))
-    assert p.modulus == n
-    return replace(p, modulus=None)
+def _rho_by_images(p, f):
+    """The block relation by its definition: the image of each block, then
+    an infinite intersection with each block."""
+    return rel_from_pairs(p.n, [
+        (i, j)
+        for i, b in enumerate(p.blocks)
+        for j, c in enumerate(p.blocks)
+        if image_of_set(f, b).intersect(c).card() == ALEPH0
+    ])
+
+
+@st.composite
+def residue_block_partitions(draw):
+    """Blocks that own whole residue classes mod m from a threshold on, in
+    no particular order, and random points below it."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(2, min(m, 6)))
+    owner = [r % n for r in draw(st.permutations(range(m)))]
+    threshold = draw(st.integers(1, 14))
+    low = draw(st.lists(st.integers(0, n - 1), min_size=threshold, max_size=threshold))
+    return make_partition(
+        make_epset(
+            threshold,
+            m,
+            [r for r in range(m) if owner[r] == i],
+            [x for x in range(threshold) if low[x] == i],
+        )
+        for i in range(n)
+    )
+
+
+def partitions():
+    return st.one_of(
+        st.builds(random_partition, st.randoms(use_true_random=False)),
+        st.builds(mod_partition, st.integers(2, 6)),
+        residue_block_partitions(),
+    )
 
 
 def relations():
@@ -65,16 +96,17 @@ def relations():
 
 
 class TestRho:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 5), st.randoms(use_true_random=False))
-    def test_modular_path_matches_block_path(self, n, rng):
+    @settings(max_examples=150, deadline=None)
+    @given(partitions(), st.randoms(use_true_random=False))
+    def test_residues_match_the_images_of_the_blocks(self, p, rng):
         f = random_mixed(rng)
-        assert _rho_mod(n, f) == rho_of(_residue_blocks(n), f)
+        assert rho_of(p, f) == _rho_by_images(p, f)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_identity_fixes_every_block(self, n):
         assert rho_of(mod_partition(n), IDENTITY_CHART) == rel_identity(n)
-        assert rho_of(_residue_blocks(n), IDENTITY_CHART) == rel_identity(n)
+        backwards = make_partition(residue_class(i, n) for i in reversed(range(n)))
+        assert rho_of(backwards, IDENTITY_CHART) == rel_identity(n)
 
     def test_doubling_sends_both_classes_to_the_evens(self):
         assert rho_of(mod_partition(2), DOUBLE) == rel_from_pairs(2, [(0, 0), (1, 0)])
@@ -97,6 +129,12 @@ class TestText:
     def test_partition_round_trip(self, rng):
         p = random_partition(rng)
         assert parse_partition(render_partition(p)) == p
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_residue_classes_in_order_are_the_modular_partition(self, n):
+        p = make_partition(residue_class(i, n) for i in range(n))
+        assert p == mod_partition(n) and hash(p) == hash(mod_partition(n))
+        assert p.modulus == n
 
     def test_block_partition_round_trip(self):
         # Residue classes out of order are not the modular partition.
