@@ -186,6 +186,56 @@ def test_block_relation_of_a_many_piece_chart_with_late_starts_is_fast(capsys):
     assert capsys.readouterr().out == "rel n=3 {(0,0),(1,1),(2,2)}\n"
 
 
+# Block i < 24 holds the x with exactly i trailing ones, block 24 those with
+# at least 24: 25 blocks of one residue each, joint period 2**24.
+_DYADIC = "part blocks " + " | ".join(
+    [f"ep N=0 m={2 ** (i + 1)} R={{{2 ** i - 1}}} L={{}}" for i in range(24)]
+    + ["ep N=0 m=16777216 R={16777215} L={}"]
+)
+_DIAGONAL = {(i, i) for i in range(25)}
+# x -> x + 1 sends an odd x to an even one, and an even x to every block.
+_SHIFTED = {(0, j) for j in range(1, 25)} | {(j, 0) for j in range(1, 25)}
+
+
+def _render_pairs(pairs) -> str:
+    return "rel n=25 {" + ",".join(f"({i},{j})" for i, j in sorted(pairs)) + "}\n"
+
+
+@pytest.mark.parametrize(
+    "chart, pairs",
+    [
+        ("chart { piece (0 mod 1 from 0) -> (0 mod 1 from 0) }", _DIAGONAL),
+        ("chart { piece (0 mod 1 from 0) -> (0 mod 1 from 1) }", _SHIFTED),
+        # Three pieces of step 3: fixed on 0 mod 3, x -> x + 1 on 1 mod 3 and
+        # x -> x - 1 on 2 mod 3.  3 is odd, so each class meets every block.
+        (
+            "chart { piece (0 mod 3 from 0) -> (0 mod 3 from 0); "
+            "piece (1 mod 3 from 0) -> (2 mod 3 from 0); piece (2 mod 3 from 0) -> (1 mod 3 from 0) }",
+            _DIAGONAL | _SHIFTED,
+        ),
+        # 684 pieces of the odd step 350,889 that fix every point they move.
+        (_two_class_chart(1023, 1029), _DIAGONAL),
+    ],
+    ids=["identity", "shift", "three-odd-step-pieces", "684-odd-step-pieces"],
+)
+def test_block_relation_of_sparse_blocks_with_a_wide_period_is_fast(chart, pairs, capsys):
+    # The relation costs a few steps per block residue and piece, not one per
+    # index up to the joint period 2**24 (about 16.8 million per piece).
+    start = time.perf_counter()
+    assert main(["rel", "rho", _DYADIC, chart]) == 0
+    assert time.perf_counter() - start < 4.0
+    assert capsys.readouterr().out == _render_pairs(pairs)
+
+
+def test_block_relation_past_the_step_budget_is_refused_quickly(capsys):
+    # 4,096 pieces on 24 block periods and 25 residues: 4,096 * 24 * (24 + 50)
+    # steps, past MAX_RHO_STEPS = 2**22.  Parsing the chart takes most of it.
+    start = time.perf_counter()
+    assert main(["rel", "rho", _DYADIC, _two_class_chart(4094, 4098)]) == 3
+    assert time.perf_counter() - start < 6.0
+    assert capsys.readouterr().err == "resource guard: block relation takes 7274496 steps, past 4194304\n"
+
+
 @pytest.mark.parametrize(
     "chart",
     [

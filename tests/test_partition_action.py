@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ixm
 from ixm.cardinal import ALEPH0
 from ixm.chart import IDENTITY_CHART, Piece, image_of_set, make_chart
-from ixm.epset import Prog, make_epset, residue_class
+from ixm.epset import NATURALS, Prog, make_epset, residue_class
 from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.partition_action import (
     MAX_BLOCKS,
@@ -77,11 +77,25 @@ def residue_block_partitions(draw):
     )
 
 
+@st.composite
+def split_partitions(draw):
+    """Blocks of different periods: a few times, a block is split into its
+    parts in the residue classes mod q."""
+    blocks = [NATURALS]
+    for _ in range(draw(st.integers(1, 3))):
+        b = blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+        q = draw(st.integers(2, 4))
+        parts = (b.intersect(residue_class(r, q)) for r in range(q))
+        blocks += [part for part in parts if not part.is_empty()]
+    return make_partition(draw(st.permutations(blocks)))
+
+
 def partitions():
     return st.one_of(
         st.builds(random_partition, st.randoms(use_true_random=False)),
         st.builds(mod_partition, st.integers(2, 6)),
         residue_block_partitions(),
+        split_partitions(),
     )
 
 
