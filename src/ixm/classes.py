@@ -563,33 +563,34 @@ def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
     return transposition(anchor, other)
 
 
-def _class_cycle(u: int, v: int, w: int, m: int) -> Chart:
-    """The permutation cycling the classes u -> v -> w -> u at modulus m by
-    translation and fixing everything else pointwise."""
-    cu, cv, cw = (residue_class(x, m) for x in (u, v, w))
-    rest = cu.union(cv).union(cw).complement()
-    return chart_union(
-        identity_on(rest),
-        bijection_between(cu, cv),
-        bijection_between(cv, cw),
-        bijection_between(cw, cu),
-    )
+def _cycle(u: EPSet, v: EPSet, w: EPSet) -> Chart:
+    """The permutation sending u -> v -> w -> u and fixing every other point."""
+    rest = identity_on(u.union(v).union(w).complement())
+    return chart_union(rest, bijection_between(u, v), bijection_between(v, w), bijection_between(w, u))
 
 
 def _w_a_a(c1: ClassId, c2: ClassId) -> Chart:
-    if c1.partition != c2.partition:
-        n1, n2 = c1.partition.modulus, c2.partition.modulus
-        if n1 is None or n2 is None:
-            _unsupported(c1, c2, "witnesses need residue partitions")
-        if n1 % n2 == 0:
-            # The avoided partition is coarser: cycle three whole blocks of
-            # the finer one, two of which share a coarse block.
-            return _class_cycle(0, 1, n2, n1)
-        # Otherwise cycle three classes inside one fine block, exactly one
-        # landing in a different coarse block.
-        return _class_cycle(0, n1, lcm(n1, n2), 2 * lcm(n1, n2))
+    """A 3-cycle of sets whose relation is a permutation on the first partition
+    p but not on the avoided one q.  A block of p meets a block of q if they
+    share infinitely many points.  A block meeting two gives the halves of its
+    first meet (by least point) and the first half of its second; else two
+    blocks lying in one block of q go with one lying in another; else p and q
+    agree up to finitely many points, and so do their classes."""
+    p, q = c1.partition, c2.partition
+    homes = []  # the block of q holding each block of p
+    for b in p.blocks:
+        meets = {j: m for j, c in enumerate(q.blocks) if (m := b.intersect(c)).card() == ALEPH0}
+        if len(meets) > 1:
+            first, second = sorted(meets.values(), key=EPSet.min)[:2]
+            u, w = first.split(2)
+            return _cycle(u, second.split(2)[0], w)
+        homes.append(next(iter(meets)))
+    for i, h in enumerate(homes):
+        if homes.count(h) > 1:
+            k = next(k for k, g in enumerate(homes) if g != h)
+            return _cycle(p.blocks[i], p.blocks[k], p.blocks[homes.index(h, i + 1)])
     if c1.variant == "plain" and c2.variant == "inverse":
-        return bijection_between(c1.partition.blocks[0], NATURALS)
+        return bijection_between(p.blocks[0], NATURALS)
     _unsupported(c1, c2, "the first class is contained in the second")
 
 
@@ -628,14 +629,11 @@ def _w_v_a(c1: ClassId, c2: ClassId) -> Chart:
 
 
 def _w_a_v(c1: ClassId, c2: ClassId) -> Chart:
-    """A block-preserving permutation that moves an accepted set of the
-    oracle onto a rejected one: swap the halves of the oracle's class at a
-    modulus fine enough to sit inside a single block."""
-    n = c1.partition.modulus
-    if n is None:
-        _unsupported(c1, c2, "witnesses need residue partitions")
-    acc = _accepted_class(c2.uf)
-    return _half_swap(c2.uf, n * acc.period)
+    """A permutation that keeps every block and moves an accepted set of the
+    oracle onto a rejected one: swap the halves of the oracle's class at the
+    blocks' joint period times its base modulus.  Only finitely many points,
+    below the blocks' thresholds, may change block."""
+    return _half_swap(c2.uf, lcm(*(b.period for b in c1.partition.blocks)) * c2.uf.base_modulus)
 
 
 # -- Excluding classes -----------------------------------------------------------------
@@ -696,8 +694,8 @@ def render_class(c: ClassId) -> str:
         if uf_text == "tower []":
             uf_text = "tower"
         return f"{token}[uf={uf_text};mu={render_card(c.mu)}]"
-    if c.partition.modulus is not None:
-        return f"{token}[blocks={c.partition.modulus}]"
+    if c.partition == mod_partition(c.partition.n):
+        return f"{token}[blocks={c.partition.n}]"
     return f"{token}[{render_partition(c.partition)}]"
 
 

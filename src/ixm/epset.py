@@ -206,14 +206,14 @@ class EPSet(_EPSetFields):
         return x % self.period in self.residues
 
     def __iter__(self):
+        # Past the threshold, period by period: one step per member.
         yield from self.low
-        if not self.residues:
-            return
-        x = self.threshold
-        while True:
-            if x % self.period in self.residues:
-                yield x
-            x += 1
+        n, m = self.threshold, self.period
+        offsets = sorted((r - n) % m for r in self.residues)
+        if offsets:
+            for base in itertools.count(n, m):
+                for o in offsets:
+                    yield base + o
 
     # -- Boolean algebra -------------------------------------------------
 

@@ -45,7 +45,7 @@ from .chart import (
     preimage_of_set,
     stats,
 )
-from .epset import EPSet, NATURALS, parse_epset, render_epset, residue_class, union_all
+from .epset import EMPTY, EPSet, NATURALS, parse_epset, render_epset, residue_class, union_all
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 MAX_BLOCKS = 64
@@ -58,20 +58,14 @@ MAX_RHO_STEPS = 1 << 22  # most loop steps one `rho_of` call may take
 @dataclass(frozen=True)
 class FinPartition:
     """A partition of the naturals into finitely many infinite pieces, each
-    eventually periodic.  It is its blocks: ``modulus`` and ``residue_groups``
-    are read off them."""
+    eventually periodic.  It is its blocks: ``residue_groups`` is read off
+    them, and the residue classes mod n in order equal ``mod_partition(n)``."""
 
     blocks: tuple[EPSet, ...]
 
     @property
     def n(self) -> int:
         return len(self.blocks)
-
-    @cached_property
-    def modulus(self) -> int | None:
-        """n when the blocks are the residue classes mod n in order, else None."""
-        n = self.n
-        return n if self.blocks == tuple(residue_class(i, n) for i in range(n)) else None
 
     @cached_property
     def residue_groups(self) -> tuple:
@@ -103,18 +97,20 @@ def make_partition(blocks) -> FinPartition:
     for i, b in enumerate(blocks):
         if not b.is_moiety():
             raise ParameterError(f"block {i} is not both infinite and co-infinite")
-    for i, b in enumerate(blocks):
-        for c in blocks[i + 1:]:
-            if not b.intersect(c).is_empty():
-                raise ParameterError("blocks overlap")
-    if union_all(blocks) != NATURALS:
+    # One running union, blocks of a period together so that it stays narrow.
+    covered = EMPTY
+    for b in sorted(blocks, key=lambda b: b.period):
+        if not covered.intersect(b).is_empty():
+            raise ParameterError("blocks overlap")
+        covered = covered.union(b)
+    if covered != NATURALS:
         raise ParameterError("blocks do not cover the naturals")
     return FinPartition(blocks)
 
 
 def render_partition(p: FinPartition) -> str:
-    if p.modulus is not None:
-        return f"part mod {p.modulus}"
+    if p == mod_partition(p.n):
+        return f"part mod {p.n}"
     return "part blocks " + " | ".join(render_epset(b) for b in p.blocks)
 
 

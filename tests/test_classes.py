@@ -6,10 +6,11 @@ from dataclasses import replace
 import pytest
 
 from ixm.cardinal import ALEPH0, ALEPH1, fin
-from ixm.chart import IDENTITY_CHART, Piece, invert, make_chart, render_chart
+from ixm.chart import IDENTITY_CHART, Piece, bijection_between, invert, make_chart, render_chart
 from ixm.classes import (
     VARIANTS,
     ClassId,
+    admissibility,
     dual_class,
     in_class,
     in_class_v_alt,
@@ -17,10 +18,10 @@ from ixm.classes import (
     render_class,
     separating_witness,
 )
-from ixm.epset import Prog, from_finite, from_prog
+from ixm.epset import NATURALS, Prog, from_finite, from_prog, residue_class
 from ixm.errors import ParameterError, UnsupportedWitnessError
 from ixm.partition_action import make_partition, mod_partition
-from ixm.sampling import make_rng, random_mixed
+from ixm.sampling import make_rng, random_mixed, random_partition, random_tower
 from ixm.ultrafilter import ZERO_TOWER, make_tower
 
 DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
@@ -178,3 +179,53 @@ def test_witness_table_is_pinned():
     assert digest.hexdigest() == (
         "acc031029834a519809f42a78a97e96179407920827f980fb3af55c08252a1e4"
     )
+
+
+def _random_class(rng) -> ClassId:
+    # An admissible class: random gamma in [0, 12), tower and partition,
+    # the lopsided partition among them.
+    while True:
+        family, v = rng.choice("SPVA"), rng.choice(VARIANTS)
+        if family == "S":
+            c = ClassId("S", v, mu=rng.choice((fin(1), ALEPH0)))
+        elif family == "P":
+            gamma = from_finite(rng.sample(range(12), rng.randint(1, 4)))
+            c = ClassId("P", v, mu=rng.choice((ALEPH0, ALEPH1)), gamma=gamma)
+        elif family == "V":
+            c = ClassId("V", v, mu=rng.choice((ALEPH0, ALEPH1)), uf=random_tower(rng))
+        else:
+            c = ClassId("A", v, partition=random_partition(rng))
+        if admissibility(c)[0]:
+            return c
+
+
+def test_random_pairs_are_separated_or_contained():
+    # Every partition gets a witness from its blocks: a refusal is a
+    # containment, or a meet class paired with itself.
+    rng = make_rng(11)
+    non_residue = 0
+    for _ in range(1500):
+        c1, c2 = _random_class(rng), _random_class(rng)
+        try:
+            separating_witness(c1, c2)
+        except UnsupportedWitnessError as exc:
+            assert "contained" in str(exc) or (c1 == c2 and c1.variant == "meet"), str(exc)
+        else:
+            non_residue += any(
+                c.family == "A" and c.partition != mod_partition(c.partition.n) for c in (c1, c2)
+            )
+    assert non_residue > 100
+
+
+def test_eventually_equal_partitions_give_equal_classes():
+    # The evens and the odds with 0 and 1 traded.
+    zero, one = from_finite([0]), from_finite([1])
+    p = make_partition([
+        residue_class(0, 2).difference(zero).union(one),
+        residue_class(1, 2).difference(one).union(zero),
+    ])
+    plain = ClassId("A", partition=p)
+    w = separating_witness(plain, ClassId("A", "inverse", partition=mod_partition(2)))
+    assert w == bijection_between(p.blocks[0], NATURALS)
+    with pytest.raises(UnsupportedWitnessError, match="contained"):
+        separating_witness(plain, ClassId("A", partition=mod_partition(2)))

@@ -237,6 +237,27 @@ def test_block_relation_past_the_step_budget_is_refused_quickly(capsys):
 
 
 @pytest.mark.parametrize(
+    "first, second, code, out",
+    [
+        # The witness moves the anchor to the next point of its block, 2**23
+        # further on, which a set walk reaches in one step per member.
+        (f"A[{_DYADIC}]", "P[gamma={8388607};mu=aleph0]", 3, ""),
+        ("A[blocks=2]", f"A[{_DYADIC}]", 0, "chart { "),
+    ],
+    ids=["anchor-in-a-sparse-block", "against-a-residue-partition"],
+)
+def test_witnesses_on_sparse_blocks_with_a_wide_period_are_fast(first, second, code, out):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "ixm", "class", "witness", first, second],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert time.perf_counter() - start < 5
+    assert done.returncode == code and done.stdout.startswith(out)
+
+
+@pytest.mark.parametrize(
     "chart",
     [
         # The image progression has a step past the mask limit.

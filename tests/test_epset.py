@@ -316,6 +316,23 @@ class TestAccessors:
         it = iter(ODDS)
         assert [next(it) for _ in range(4)] == [1, 3, 5, 7]
 
+    def test_iter_lists_the_members_in_order(self):
+        rng = make_rng(29)
+        for _ in range(200):
+            s = random_epset(rng)
+            hi = s.threshold + 3 * s.period
+            want = [x for x in range(hi) if x in s]
+            assert list(itertools.takewhile(lambda x: x < hi, s)) == want
+
+    def test_members_of_a_sparse_wide_set_are_found_quickly(self):
+        # One residue of 2**21, past the threshold 0: a walk that tests every
+        # integer would take about 1,048,575 steps to reach the first member.
+        s = parse_epset("ep N=0 m=2097152 R={1048575} L={}")
+        start = time.perf_counter()
+        assert s.min() == 1048575
+        assert s.take_first(3) == from_finite([1048575, 3145727, 5242879])
+        assert time.perf_counter() - start < 0.2
+
     def test_membership_protocol(self):
         assert 4 in EVENS and 5 not in EVENS
 
