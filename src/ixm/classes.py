@@ -571,20 +571,22 @@ def _cycle(u: EPSet, v: EPSet, w: EPSet) -> Chart:
 
 def _w_a_a(c1: ClassId, c2: ClassId) -> Chart:
     """A 3-cycle of sets whose relation is a permutation on the first partition
-    p but not on the avoided one q.  A block of p meets a block of q if they
-    share infinitely many points.  A block meeting two gives the halves of its
-    first meet (by least point) and the first half of its second; else two
-    blocks lying in one block of q go with one lying in another; else p and q
-    agree up to finitely many points, and so do their classes."""
+    p but not on the avoided one q.  A block b of p meets (shares infinitely
+    many points with) the block of q holding a point of b past every threshold.
+    If it meets another, the halves of its first meet (by least point) go with
+    the first half of its second; else two blocks lying in one block of q go
+    with one lying in another; else p and q agree up to finitely many points."""
     p, q = c1.partition, c2.partition
+    t = max(b.threshold for b in p.blocks + q.blocks)
     homes = []  # the block of q holding each block of p
     for b in p.blocks:
-        meets = {j: m for j, c in enumerate(q.blocks) if (m := b.intersect(c)).card() == ALEPH0}
-        if len(meets) > 1:
-            first, second = sorted(meets.values(), key=EPSet.min)[:2]
+        x = t + ((b.residues & -b.residues).bit_length() - 1 - t) % b.period
+        homes.append(next(j for j, c in enumerate(q.blocks) if x in c))
+        if b.difference(q.blocks[homes[-1]]).card() == ALEPH0:
+            meets = [m for c in q.blocks if (m := b.intersect(c)).card() == ALEPH0]
+            first, second = sorted(meets, key=EPSet.min)[:2]
             u, w = first.split(2)
             return _cycle(u, second.split(2)[0], w)
-        homes.append(next(iter(meets)))
     for i, h in enumerate(homes):
         if homes.count(h) > 1:
             k = next(k for k, g in enumerate(homes) if g != h)
@@ -629,10 +631,8 @@ def _w_v_a(c1: ClassId, c2: ClassId) -> Chart:
 
 
 def _w_a_v(c1: ClassId, c2: ClassId) -> Chart:
-    """A permutation that keeps every block and moves an accepted set of the
-    oracle onto a rejected one: swap the halves of the oracle's class at the
-    blocks' joint period times its base modulus.  Only finitely many points,
-    below the blocks' thresholds, may change block."""
+    """Swap the halves of the oracle's class at the blocks' joint period times its base modulus:
+    an accepted set goes onto a rejected one, and all but finitely many points keep their block."""
     return _half_swap(c2.uf, lcm(*(b.period for b in c1.partition.blocks)) * c2.uf.base_modulus)
 
 

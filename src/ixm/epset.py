@@ -206,14 +206,17 @@ class EPSet(_EPSetFields):
         return x % self.period in self.residues
 
     def __iter__(self):
-        # Past the threshold, period by period: one step per member.
+        # One step per member: the first period walks the residues, rotated to
+        # start at n, in doubling windows; the next ones repeat its offsets.
         yield from self.low
-        n, m = self.threshold, self.period
-        offsets = sorted((r - n) % m for r in self.residues)
-        if offsets:
-            for base in itertools.count(n, m):
-                for o in offsets:
-                    yield base + o
+        n, m, res, lo = self.threshold, self.period, self.residues, 0
+        rot = Bits(((res >> n % m) | (res << m - n % m)) & _full(m))
+        while lo < m:
+            yield from (n + lo + o for o in Bits((rot & _full(2 * lo + 64)) >> lo))
+            lo = 2 * lo + 64
+        offsets = list(rot)
+        for base in itertools.count(n + m, m) if offsets else ():
+            yield from (base + o for o in offsets)
 
     # -- Boolean algebra -------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 from operator import add, eq
 
 from .cardinal import ALEPH0, Card, fin
@@ -45,7 +45,7 @@ from .chart import (
     preimage_of_set,
     stats,
 )
-from .epset import EMPTY, EPSet, NATURALS, parse_epset, render_epset, residue_class, union_all
+from .epset import EPSet, NATURALS, make_epset, parse_epset, render_epset, residue_class, union_all
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
 MAX_BLOCKS = 64
@@ -97,13 +97,15 @@ def make_partition(blocks) -> FinPartition:
     for i, b in enumerate(blocks):
         if not b.is_moiety():
             raise ParameterError(f"block {i} is not both infinite and co-infinite")
-    # One running union, blocks of a period together so that it stays narrow.
-    covered = EMPTY
-    for b in sorted(blocks, key=lambda b: b.period):
-        if not covered.intersect(b).is_empty():
-            raise ParameterError("blocks overlap")
-        covered = covered.union(b)
-    if covered != NATURALS:
+    union, joint = union_all(blocks), lcm(*(b.period for b in blocks))
+    below = make_epset(max(b.threshold for b in blocks), 1, (0,), ()).complement()
+    def points(s: EPSet) -> int:  # below every threshold, then in one joint period
+        return len(s.intersect(below).low) + len(s.residues) * (joint // s.period)
+    # Past every threshold all repeat with the joint period, so the blocks are
+    # disjoint iff they have as many points as their union in those two parts.
+    if sum(map(points, blocks)) != points(union):
+        raise ParameterError("blocks overlap")
+    if union != NATURALS:
         raise ParameterError("blocks do not cover the naturals")
     return FinPartition(blocks)
 

@@ -192,6 +192,18 @@ _DYADIC = "part blocks " + " | ".join(
     [f"ep N=0 m={2 ** (i + 1)} R={{{2 ** i - 1}}} L={{}}" for i in range(24)]
     + ["ep N=0 m=16777216 R={16777215} L={}"]
 )
+# 64 blocks of joint period 2**24: odd x by its trailing ones and even x > 0
+# by its trailing zeros, cut by the next bit from 15 of them to 22.
+_DYADIC_64 = ["ep N=0 m=16777216 R={16777215} L={}", "ep N=0 m=16777216 R={0} L={}"] + [
+    f"ep N=0 m={m} R={{{r}}} L={{}}"
+    for i in range(1, 24)
+    for first in (2 ** i - 1, 2 ** i)
+    for r, m in (
+        [(first, 2 ** (i + 1))]
+        if i < 15 or i == 23
+        else [(first, 2 ** (i + 2)), (first + 2 ** (i + 1), 2 ** (i + 2))]
+    )
+]
 _DIAGONAL = {(i, i) for i in range(25)}
 # x -> x + 1 sends an odd x to an even one, and an even x to every block.
 _SHIFTED = {(0, j) for j in range(1, 25)} | {(j, 0) for j in range(1, 25)}
@@ -243,8 +255,16 @@ def test_block_relation_past_the_step_budget_is_refused_quickly(capsys):
         # further on, which a set walk reaches in one step per member.
         (f"A[{_DYADIC}]", "P[gamma={8388607};mu=aleph0]", 3, ""),
         ("A[blocks=2]", f"A[{_DYADIC}]", 0, "chart { "),
+        # Equal up to the order of 64 blocks: one point and one set difference
+        # a block find its home, not 64 * 64 intersections.
+        (
+            f"A[part blocks {' | '.join(_DYADIC_64)}]",
+            f"A[part blocks {' | '.join(reversed(_DYADIC_64))}]",
+            1,
+            "refused: ",
+        ),
     ],
-    ids=["anchor-in-a-sparse-block", "against-a-residue-partition"],
+    ids=["anchor-in-a-sparse-block", "against-a-residue-partition", "reordered-64-blocks"],
 )
 def test_witnesses_on_sparse_blocks_with_a_wide_period_are_fast(first, second, code, out):
     env = dict(os.environ, PYTHONPATH=SRC)

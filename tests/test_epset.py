@@ -333,6 +333,13 @@ class TestAccessors:
         assert s.take_first(3) == from_finite([1048575, 3145727, 5242879])
         assert time.perf_counter() - start < 0.2
 
+    def test_first_members_of_a_dense_wide_set_cost_no_pass_over_the_period(self):
+        s = parse_epset("ep N=0 m=16777216 R={0,1,2} L={}").complement()
+        start = time.perf_counter()
+        assert s.min() == 3
+        assert s.take_first(3) == from_finite([3, 4, 5])
+        assert time.perf_counter() - start < 0.2
+
     def test_membership_protocol(self):
         assert 4 in EVENS and 5 not in EVENS
 

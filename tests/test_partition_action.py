@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ixm
 from ixm.cardinal import ALEPH0
 from ixm.chart import IDENTITY_CHART, Piece, image_of_set, make_chart
-from ixm.epset import NATURALS, Prog, make_epset, residue_class
+from ixm.epset import NATURALS, Prog, from_finite, make_epset, render_epset, residue_class
 from ixm.errors import ParameterError, ParseError, ResourceGuardError
 from ixm.partition_action import (
     MAX_BLOCKS,
@@ -185,6 +185,35 @@ class TestText:
                 parse_partition(text)
         with pytest.raises(ResourceGuardError):
             parse_rel(f"rel n={n + 1} {{}}")
+
+    def test_blocks_whose_pairs_reach_past_the_mask_limit_parse(self):
+        # 3 mod 4, and the other classes mod 4 each cut by 0 mod a prime power
+        # and their rest by 0 mod 5 or 3: pairs of pieces reach period
+        # 625,117,500, past 2**24, but each class's pieces unite back to period 4.
+        blocks = [residue_class(3, 4)]
+        for r, q, k in ((2, 343, 5), (1, 625, 3), (0, 729, 5)):
+            cut = residue_class(r, 4).intersect(residue_class(0, q))
+            rest = residue_class(r, 4).difference(cut)
+            blocks += [cut, rest.intersect(residue_class(0, k)), rest.difference(residue_class(0, k))]
+        blocks[1:] = sorted(blocks[1:], key=lambda b: b.period)  # 1372, 2500, 2916, 6860, ...
+        p = parse_partition("part blocks " + " | ".join(render_epset(b) for b in blocks))
+        assert p.blocks == tuple(blocks)
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            # The odds with 0 share one point with the evens.
+            ([residue_class(0, 2), residue_class(1, 2).union(from_finite([0]))], "blocks overlap"),
+            ([residue_class(0, 2), residue_class(0, 4), residue_class(1, 2)], "blocks overlap"),
+            # Overlap is reported before a missing cover.
+            ([residue_class(0, 4), residue_class(0, 8), residue_class(1, 4)], "blocks overlap"),
+            ([residue_class(0, 4), residue_class(2, 4), residue_class(1, 4)], "do not cover"),
+            ([residue_class(0, 2).difference(from_finite([4])), residue_class(1, 2)], "do not cover"),
+        ],
+    )
+    def test_blocks_that_are_not_a_partition_are_refused(self, blocks, message):
+        with pytest.raises(ParameterError, match=message):
+            make_partition(blocks)
 
     @pytest.mark.parametrize(
         "text",
