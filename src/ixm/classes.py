@@ -280,40 +280,16 @@ def _direct_witness(c1: ClassId, c2: ClassId) -> Chart:
             except UnsupportedWitnessError:
                 continue
         raise UnsupportedWitnessError(
-            f"no recipe separates {render_class(c1)} from either side of {render_class(c2)}"
+            lambda: f"no recipe separates {render_class(c1)} from either side of {render_class(c2)}"
         )
-    key = (c1.family, c2.family)
-    table = {
-        ("S", "S"): _w_s_s,
-        ("P", "S"): _w_p_s,
-        ("S", "P"): _w_s_p,
-        ("P", "P"): _w_p_p,
-        ("V", "S"): _w_v_s,
-        ("S", "V"): _w_s_v,
-        ("V", "V"): _w_v_v,
-        ("A", "S"): _w_a_s,
-        ("S", "A"): _w_s_a,
-        ("P", "A"): _w_s_a,
-        ("A", "P"): _w_a_p,
-        ("A", "A"): _w_a_a,
-        ("A", "V"): _w_a_v,
-        ("V", "P"): _w_s_p,
-        ("P", "V"): _w_p_v,
-        ("V", "A"): _w_v_a,
-    }
-    fn = table.get(key)
-    if fn is None:
-        raise UnsupportedWitnessError(
-            f"no recipe for separating family {key[0]} from family {key[1]}"
-        )
-    return fn(c1, c2)
+    return _RECIPES[(c1.family, c2.family)](c1, c2)
 
 
 def _unsupported(c1: ClassId, c2: ClassId, reason: str = ""):
-    text = f"no recipe separates {render_class(c1)} from {render_class(c2)}"
-    if reason:
-        text += f": {reason}"
-    raise UnsupportedWitnessError(text)
+    suffix = f": {reason}" if reason else ""
+    raise UnsupportedWitnessError(
+        lambda: f"no recipe separates {render_class(c1)} from {render_class(c2)}{suffix}"
+    )
 
 
 # Stock charts.
@@ -349,13 +325,17 @@ def _w_p_s(c1: ClassId, c2: ClassId) -> Chart:
     gamma, nu = c1.gamma, c2.mu
     if c2.variant != "plain":
         _unsupported(c1, c2)
-    comp = NATURALS.difference(gamma)
     if nu == fin(1):
-        # Keep gamma pointwise, drop one point of the complement's image.
-        target = comp.difference(from_finite([comp.min()]))
-        return chart_union(identity_on(gamma), bijection_between(comp, target))
+        return _one_defect(gamma)
     # Miss gamma in the domain, land on a sparse image.
-    return bijection_between(comp, _evens_above(gamma))
+    return bijection_between(gamma.complement(), _evens_above(gamma))
+
+
+def _one_defect(anchor: EPSet) -> Chart:
+    """Fix the anchor pointwise and miss one point of its complement."""
+    comp = anchor.complement()
+    dropped = comp.difference(from_finite([comp.min()]))
+    return chart_union(identity_on(anchor), bijection_between(comp, dropped))
 
 
 def _w_s_p(c1: ClassId, c2: ClassId) -> Chart:
@@ -410,19 +390,12 @@ def _stab_with_defect(uf) -> Chart:
     return chart_union(*parts)
 
 
-def _stab_with_one_defect(uf) -> Chart:
-    acc = _accepted_class(uf)
-    rej = acc.complement()
-    dropped = rej.difference(from_finite([rej.min()]))
-    return chart_union(identity_on(acc), bijection_between(rej, dropped))
-
-
 def _w_v_s(c1: ClassId, c2: ClassId) -> Chart:
     mu, nu = c1.mu, c2.mu
     if c2.variant != "plain":
         _unsupported(c1, c2)
     if nu == fin(1):
-        return _stab_with_one_defect(c1.uf)
+        return _one_defect(_accepted_class(c1.uf))
     if mu == ALEPH1:
         return _stab_with_defect(c1.uf)
     if c1.variant == "inverse":
@@ -436,12 +409,6 @@ def _w_v_s(c1: ClassId, c2: ClassId) -> Chart:
         "with the low threshold the filter class is contained in the "
         "threshold class; see the admissibility note",
     )
-
-
-def _w_s_v(c1: ClassId, c2: ClassId) -> Chart:
-    acc = _accepted_class(c2.uf)
-    rej = acc.complement()
-    return chart_union(bijection_between(acc, rej), bijection_between(rej, acc))
 
 
 def _scrambler(uf) -> Chart:
@@ -482,8 +449,8 @@ def _half_swap(uf, m: int) -> Chart:
 
 
 def _joint_modulus(u1: ResidueTower, u2: ResidueTower) -> int:
-    """A modulus fine enough that two towers with different residue profiles
-    already disagree at it."""
+    """A modulus at which two unequal towers disagree: each prime's largest
+    chosen power, since a least-exponent choice is fixed by its residue."""
     exps = {2: 1}
     for uf in (u1, u2):
         for p, a, _ in uf.choices:
@@ -496,12 +463,7 @@ def _joint_modulus(u1: ResidueTower, u2: ResidueTower) -> int:
 
 def _w_v_v(c1: ClassId, c2: ClassId) -> Chart:
     if c1.uf != c2.uf:
-        m = _joint_modulus(c1.uf, c2.uf)
-        if c1.uf.residue_at(m) == c2.uf.residue_at(m):
-            _unsupported(
-                c1, c2, "the oracles accept the same classes, so the classes coincide"
-            )
-        return _half_swap(c2.uf, m)
+        return _half_swap(c2.uf, _joint_modulus(c1.uf, c2.uf))
     mu, nu = c1.mu, c2.mu
     if mu == nu:
         if c1.variant == "plain" and c2.variant == "inverse":
@@ -527,11 +489,10 @@ def _w_a_s(c1: ClassId, c2: ClassId) -> Chart:
     return _spread_blocks(c1.partition)
 
 
-def _block_mixer(p: FinPartition, fixed: EPSet | None = None) -> Chart:
+def _block_mixer(p: FinPartition, fixed: EPSet) -> Chart:
     """A permutation mixing blocks 0 and 1 while fixing the given finite
     set pointwise; its block relation has full domain and image but is not
     a permutation."""
-    fixed = fixed if fixed is not None else EMPTY
     b0 = p.blocks[0].difference(fixed)
     b1 = p.blocks[1].difference(fixed)
     c0, c1_ = b0.split(2)
@@ -549,8 +510,7 @@ def _block_mixer(p: FinPartition, fixed: EPSet | None = None) -> Chart:
 
 
 def _w_s_a(c1: ClassId, c2: ClassId) -> Chart:
-    fixed = c1.gamma if c1.family == "P" else None
-    return _block_mixer(c2.partition, fixed)
+    return _block_mixer(c2.partition, c1.gamma if c1.family == "P" else EMPTY)
 
 
 def _w_a_p(c1: ClassId, c2: ClassId) -> Chart:
@@ -599,7 +559,7 @@ def _w_a_a(c1: ClassId, c2: ClassId) -> Chart:
 def _w_p_v(c1: ClassId, c2: ClassId) -> Chart:
     """A permutation fixing the anchor set pointwise while trading the
     oracle's class with its complement away from the anchor."""
-    gamma = c1.gamma
+    gamma = c1.gamma if c1.family == "P" else EMPTY
     acc = _accepted_class(c2.uf)
     a = acc.difference(gamma)
     b = acc.complement().difference(gamma)
@@ -634,6 +594,26 @@ def _w_a_v(c1: ClassId, c2: ClassId) -> Chart:
     """Swap the halves of the oracle's class at the blocks' joint period times its base modulus:
     an accepted set goes onto a rejected one, and all but finitely many points keep their block."""
     return _half_swap(c2.uf, lcm(*(b.period for b in c1.partition.blocks)) * c2.uf.base_modulus)
+
+
+_RECIPES = {
+    ("S", "S"): _w_s_s,
+    ("P", "S"): _w_p_s,
+    ("S", "P"): _w_s_p,
+    ("P", "P"): _w_p_p,
+    ("V", "S"): _w_v_s,
+    ("S", "V"): _w_p_v,
+    ("V", "V"): _w_v_v,
+    ("A", "S"): _w_a_s,
+    ("S", "A"): _w_s_a,
+    ("P", "A"): _w_s_a,
+    ("A", "P"): _w_a_p,
+    ("A", "A"): _w_a_a,
+    ("A", "V"): _w_a_v,
+    ("V", "P"): _w_s_p,
+    ("P", "V"): _w_p_v,
+    ("V", "A"): _w_v_a,
+}
 
 
 # -- Excluding classes -----------------------------------------------------------------

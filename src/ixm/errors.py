@@ -37,4 +37,9 @@ class InternalError(IxmError):
 
 
 class UnsupportedWitnessError(IxmError):
-    """No separating-witness recipe is registered for a class pair."""
+    """No separating-witness recipe is registered for a class pair.  The
+    message is a callable, so a refusal that is caught and dropped never
+    renders its classes."""
+
+    def __str__(self):
+        return self.args[0]()

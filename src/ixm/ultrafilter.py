@@ -4,15 +4,16 @@ Two decidable families are provided:
 
 * ``Principal(x)`` — sets containing the point x.
 * ``ResidueTower(choices)`` — the nonprincipal family determined by a
-  compatible residue choice at every prime power.  A tower is described
-  by finitely many constraints ``p**a = r`` (one prime may appear with
-  several exponents as long as the residues agree); every unmentioned
-  prime defaults to residue 0, so the residue modulo any m comes from the
-  choices alone, with no factoring of m.  A periodic set is accepted when its
-  residues modulo its own period contain the tower's residue at that
-  period; since eventually periodic sets are closed under the boolean
-  operations and exactly one of S, complement(S) is accepted, this is an
-  ultrafilter on the periodic algebra.
+  compatible residue choice at every prime power.  A tower holds finitely
+  many choices ``p**a = r``, each with the least a such that r < p**a, so
+  equal oracles are equal values (a literal may name a prime twice, with
+  agreeing residues, or use a larger a: ``make_tower`` reduces it).  Every
+  unmentioned prime defaults to residue 0, so the residue modulo any m
+  comes from the choices alone, with no factoring of m.  A periodic set is
+  accepted when its residues modulo its own period contain the tower's
+  residue at that period; since eventually periodic sets are closed under
+  the boolean operations and exactly one of S, complement(S) is accepted,
+  this is an ultrafilter on the periodic algebra.
 
 ``stabilises_filter`` decides whether a permutation maps accepted sets
 to accepted sets, and on failure produces an explicit accepted set with
@@ -28,6 +29,7 @@ p is prime: it is not below MAX_PRIME_TEST = ...").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import lcm
 
 from .cardinal import ALEPH0, fin
@@ -79,25 +81,33 @@ class Principal:
             raise ParameterError("principal point must be a natural number")
 
 
+def _prime_power(p: int, a: int) -> int:
+    """p**a, once p is checked prime and a positive."""
+    if not _is_prime(p):
+        raise ParameterError(f"{p} is not prime")
+    if a < 1:
+        raise ParameterError(f"exponent must be >= 1, got {a}")
+    return p**a
+
+
 @dataclass(frozen=True)
 class ResidueTower:
     """A compatible residue choice at each prime power; finitely many
     primes are non-zero.  ``choices`` maps prime -> (exponent, residue)
-    with 0 < residue < prime**exponent."""
+    with p**(exponent-1) <= residue < p**exponent: the least exponent."""
 
     choices: tuple[tuple[int, int, int], ...]  # (prime, exponent, residue)
 
     def __post_init__(self):
         seen = set()
         for p, a, r in self.choices:
-            if not _is_prime(p):
-                raise ParameterError(f"{p} is not prime")
-            if a < 1:
-                raise ParameterError(f"exponent must be >= 1, got {a}")
-            if not 0 < r < p**a:
+            top = _prime_power(p, a)
+            if not 0 < r < top:
                 raise ParameterError(
                     f"residue {r} out of range for {p}**{a} (0 means: omit the entry)"
                 )
+            if r < top // p:
+                raise ParameterError(f"exponent {a} is not the least for residue {r} mod {p}**{a}")
             if p in seen:
                 raise ParameterError(f"prime {p} listed twice")
             seen.add(p)
@@ -121,8 +131,8 @@ class ResidueTower:
 
     @property
     def base_modulus(self) -> int:
-        """Twice the product of p**a over the choices: the modulus of the
-        accepted residue class that witnesses and law suites build on."""
+        """Twice the product of the least powers p**a of the choices: the
+        modulus of the accepted class that witnesses and law suites build on."""
         m = 2
         for p, a, _ in self.choices:
             m *= p**a
@@ -131,14 +141,11 @@ class ResidueTower:
 
 def make_tower(entries) -> ResidueTower:
     """Build a tower from (prime, exponent, residue) triples, merging
-    multiple mentions of one prime after checking compatibility."""
+    multiple mentions of one prime after checking compatibility; each
+    non-zero residue is stored with its least exponent."""
     by_prime: dict[int, tuple[int, int]] = {}
     for p, a, r in entries:
-        if not _is_prime(p):
-            raise ParameterError(f"{p} is not prime")
-        if a < 1:
-            raise ParameterError(f"exponent must be >= 1, got {a}")
-        r %= p**a
+        r %= _prime_power(p, a)
         if p in by_prime:
             a0, r0 = by_prime[p]
             hi, lo = max((a, r), (a0, r0)), min((a, r), (a0, r0))
@@ -150,10 +157,8 @@ def make_tower(entries) -> ResidueTower:
             by_prime[p] = hi
         else:
             by_prime[p] = (a, r)
-    triples = tuple(
-        sorted((p, a, r) for p, (a, r) in by_prime.items() if r % p**a != 0)
-    )
-    return ResidueTower(triples)
+    pairs = sorted((p, r) for p, (_, r) in by_prime.items() if r)
+    return ResidueTower(tuple((p, next(a for a in count(1) if r < p**a), r) for p, r in pairs))
 
 
 ZERO_TOWER = ResidueTower(())
@@ -216,9 +221,10 @@ def stabilises_filter(f, c: Chart, check_witness: bool = True) -> tuple[bool, EP
 
     piece = _accepted_piece(f, c)
     if piece is None:
-        # The accepted residue class sits inside the finite pair part; with
-        # infinitely many accepted points that cannot happen for a chart.
-        raise ParameterError("no infinite accepted piece found in the permutation")
+        # Past the domain's threshold the pieces cover the domain's accepted
+        # class modulo the lcm of their steps and its period, so some piece's
+        # source class holds the tower point.
+        raise InternalError("internal error: no piece carries the accepted residue")
     a, q = piece.src.first, piece.src.step
     b, q2 = piece.dst.first, piece.dst.step
     if q == q2:

@@ -8,10 +8,13 @@ import pytest
 from ixm.cardinal import ALEPH0, ALEPH1, fin
 from ixm.chart import IDENTITY_CHART, Piece, bijection_between, invert, make_chart, render_chart
 from ixm.classes import (
+    _RECIPES,
+    FAMILIES,
     VARIANTS,
     ClassId,
     admissibility,
     dual_class,
+    excluding_maximal,
     in_class,
     in_class_v_alt,
     parse_class,
@@ -22,7 +25,7 @@ from ixm.epset import NATURALS, Prog, from_finite, from_prog, residue_class
 from ixm.errors import ParameterError, UnsupportedWitnessError
 from ixm.partition_action import make_partition, mod_partition
 from ixm.sampling import make_rng, random_mixed, random_partition, random_tower
-from ixm.ultrafilter import ZERO_TOWER, make_tower
+from ixm.ultrafilter import ZERO_TOWER, make_tower, parse_uf
 
 DOUBLE = make_chart((), (Piece(Prog(0, 1), Prog(0, 2)),))
 CHARTS = {
@@ -179,6 +182,23 @@ def test_witness_table_is_pinned():
     assert digest.hexdigest() == (
         "acc031029834a519809f42a78a97e96179407920827f980fb3af55c08252a1e4"
     )
+
+
+def test_every_family_pair_has_a_recipe():
+    assert set(_RECIPES) == {(a, b) for a in FAMILIES for b in FAMILIES}
+
+
+def test_two_spellings_of_one_tower_name_one_class():
+    one, two = parse_uf("uf tower [5^1=3]"), parse_uf("uf tower [5^2=3]")
+    plain = ClassId("V", mu=ALEPH1, uf=one)
+    separating_witness(plain, ClassId("V", "inverse", mu=ALEPH1, uf=two))  # checks both sides
+    with pytest.raises(UnsupportedWitnessError, match="contained"):
+        separating_witness(plain, ClassId("V", mu=ALEPH1, uf=two))
+
+
+def test_excluding_class_of_a_chart_moving_no_piece_start():
+    # DOUBLE keeps 0 and moves 1, which only its steps tell apart.
+    assert excluding_maximal(DOUBLE) == ClassId("P", "plain", mu=ALEPH1, gamma=from_finite([1]))
 
 
 def _random_class(rng) -> ClassId:

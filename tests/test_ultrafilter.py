@@ -140,6 +140,8 @@ class TestTowerConstruction:
             ResidueTower(((3, 1, 5),))  # residue out of range
         with pytest.raises(ParameterError):
             ResidueTower(((3, 1, 1), (3, 2, 1)))  # prime listed twice
+        with pytest.raises(ParameterError, match="not the least"):
+            ResidueTower(((5, 2, 3),))  # 3 < 5: the least exponent is 1
 
     def test_primality_agrees_with_trial_division(self):
         def trial(n):
@@ -159,7 +161,7 @@ class TestTowerConstruction:
 
     def test_make_tower_merges_compatible_entries(self):
         t = make_tower([(3, 1, 2), (3, 2, 2)])
-        assert t.choices == ((3, 2, 2),)
+        assert t.choices == ((3, 1, 2),)
 
     def test_make_tower_rejects_incompatible_entries(self):
         with pytest.raises(ParameterError):
@@ -167,6 +169,15 @@ class TestTowerConstruction:
 
     def test_make_tower_drops_zero_residues(self):
         assert make_tower([(3, 1, 0)]) == ZERO_TOWER
+
+    def test_equal_oracles_are_equal_values(self):
+        # The digits above a choice's exponent are zero, so 3 mod 5 and
+        # 3 mod 25 name one oracle.
+        one, two = parse_uf("uf tower [5^1=3]"), parse_uf("uf tower [5^2=3]")
+        assert one == two and hash(one) == hash(two)
+        assert render_uf(two) == "uf tower [5^1=3]"
+        assert two.base_modulus == 10
+        assert make_tower([(5, 2, 8)]).choices == ((5, 2, 8),)
 
     def test_make_tower_reduces_residues(self):
         assert make_tower([(3, 1, 5)]) == make_tower([(3, 1, 2)])
