@@ -6,11 +6,15 @@ as a classification bound (the successor of the ground cardinality), so
 it may be compared against but never added: ``+`` on it raises instead of
 guessing at transfinite arithmetic.  Cards order with ``<`` and add with
 ``+`` like ints, so one formula serves both.
+
+A Card is a NamedTuple (level, value), like ``epset.Prog``: equality, hash
+and order are those of the field tuple, computed in C, and a Card equals
+any tuple with the same fields, ``fin(3) == (0, 3)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, ParseError
 
@@ -19,24 +23,28 @@ _A0 = 1
 _A1 = 2
 
 
-@dataclass(frozen=True, order=True)
-class Card:
+class _CardFields(NamedTuple):
+    level: int
+    value: int
+
+
+class Card(_CardFields):
     """A cardinal: Fin(k), aleph-0 or aleph-1.
 
     Ordering is the natural one; it falls out of comparing
     (level, value) tuples because infinite cards carry value 0.
     """
 
-    level: int
-    value: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.level not in (_FIN, _A0, _A1):
-            raise ParameterError(f"unknown cardinal level {self.level!r}")
-        if self.level == _FIN and self.value < 0:
-            raise ParameterError(f"finite cardinal cannot be negative: {self.value}")
-        if self.level != _FIN and self.value != 0:
+    def __new__(cls, level: int, value: int = 0) -> "Card":
+        if level not in (_FIN, _A0, _A1):
+            raise ParameterError(f"unknown cardinal level {level!r}")
+        if level == _FIN and value < 0:
+            raise ParameterError(f"finite cardinal cannot be negative: {value}")
+        if level != _FIN and value != 0:
             raise ParameterError("infinite cardinals carry no finite value")
+        return tuple.__new__(cls, (level, value))
 
     @property
     def finite(self) -> bool:

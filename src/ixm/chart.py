@@ -27,11 +27,15 @@ piece starts at the least point from which its whole residue class follows
 the rule, and whatever sits before that start is demoted to plain pairs.
 The result depends only on the map itself, so structural equality of charts
 is extensional equality.
+
+A Chart is a NamedTuple (pairs, pieces), like ``Piece`` and ``epset.Prog``:
+equality, hash and order are those of that field tuple, computed in C.
+``Chart.pair_map``, the index of the pairs for point lookup, sits outside
+the tuple, in the instance ``__dict__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
@@ -70,12 +74,21 @@ class Piece(NamedTuple):
         return self.src == self.dst
 
 
-@dataclass(frozen=True)
-class Chart:
+class _ChartFields(NamedTuple):
     pairs: frozenset[tuple[int, int]]
     pieces: tuple[Piece, ...]
-    # Index of `pairs` for point lookup; derived, so not part of identity.
-    pair_map: dict[int, int] = field(compare=False, hash=False, repr=False)
+
+
+class Chart(_ChartFields):
+    """Identified by (pairs, pieces); ``pair_map`` indexes the pairs for point
+    lookup and is derived from them.  Copy and pickle call ``__new__`` with
+    the fields alone (``__getnewargs__``), so it rebuilds the index when it
+    is not given."""
+
+    def __new__(cls, pairs, pieces, pair_map: dict[int, int] | None = None) -> "Chart":
+        self = tuple.__new__(cls, (pairs, pieces))
+        self.pair_map = dict(pairs) if pair_map is None else pair_map
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Chart({render_chart(self)!r})"
@@ -361,8 +374,7 @@ def im_set(c: Chart) -> EPSet:
     return union_parts((prog_part(pc.dst) for pc in c.pieces), [y for _, y in c.pairs])
 
 
-@dataclass(frozen=True)
-class ChartStats:
+class ChartStats(NamedTuple):
     rank: Card
     collapse: Card
     defect: Card

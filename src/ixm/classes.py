@@ -21,8 +21,8 @@ witness is the inverse of the dual pair's witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import lcm
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, ALEPH1, Card, fin, parse_card, render_card
 from .chart import (
@@ -65,18 +65,37 @@ FAMILIES = ("S", "P", "V", "A")
 VARIANTS = ("plain", "inverse", "meet")
 
 
-@dataclass(frozen=True)
-class ClassId:
-    """A description of one candidate maximal class."""
-
+class _ClassFields(NamedTuple):
     family: str
-    variant: str = "plain"
-    mu: Card | None = None
-    gamma: EPSet | None = None
-    uf: object | None = None
-    partition: FinPartition | None = None
+    variant: str
+    mu: Card | None
+    gamma: EPSet | None
+    uf: object | None
+    partition: FinPartition | None
 
-    def __post_init__(self):
+
+class ClassId(_ClassFields):
+    """A description of one candidate maximal class.
+
+    A NamedTuple of its six fields, like ``epset.Prog``: equality, hash and
+    order are the field tuple's, computed in C.  ``__new__`` checks the
+    fields; ``_replace`` does not, so it is used only to swap ``variant``
+    for another member of VARIANTS, which no check of the family's
+    parameters reads.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        family: str,
+        variant: str = "plain",
+        mu: Card | None = None,
+        gamma: EPSet | None = None,
+        uf: object | None = None,
+        partition: FinPartition | None = None,
+    ) -> "ClassId":
+        self = tuple.__new__(cls, (family, variant, mu, gamma, uf, partition))
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.variant not in VARIANTS:
@@ -113,6 +132,7 @@ class ClassId:
             if self.partition is None:
                 raise ParameterError("a block-action class needs a partition")
             _forbid(self, "mu", "gamma", "uf")
+        return self
 
 
 def _forbid(c: ClassId, *names):
@@ -125,7 +145,7 @@ def dual_class(c: ClassId) -> ClassId:
     """Swap the plain and inverse variants; the meet is self-dual."""
     if c.variant == "meet":
         return c
-    return replace(c, variant="inverse" if c.variant == "plain" else "plain")
+    return c._replace(variant="inverse" if c.variant == "plain" else "plain")
 
 
 def admissibility(c: ClassId) -> tuple[bool, str]:
@@ -276,7 +296,7 @@ def _direct_witness(c1: ClassId, c2: ClassId) -> Chart:
     if c2.variant == "meet":
         for sub in ("plain", "inverse"):
             try:
-                return _direct_witness(c1, replace(c2, variant=sub))
+                return _direct_witness(c1, c2._replace(variant=sub))
             except UnsupportedWitnessError:
                 continue
         raise UnsupportedWitnessError(

@@ -31,9 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import inspect
-import json
 import os
 import sys
 from itertools import permutations
@@ -90,6 +87,8 @@ from .ultrafilter import parse_uf, stabilises_filter, uf_contains, uf_min
 
 
 def _family_hash(sets) -> str:
+    import hashlib  # here, not at module level: only the finite verbs hash
+
     payload = ";".join(
         ",".join(sorted(render_fchart(u) for u in m)) for m in sets
     )
@@ -98,6 +97,8 @@ def _family_hash(sets) -> str:
 
 def _emit(records, fmt: str, human) -> None:
     if fmt == "records":
+        import json  # here, not at module level: text output needs none
+
         for r in records:
             print(json.dumps(r, sort_keys=True))
     else:
@@ -249,11 +250,14 @@ _ACTIONS = {
 }
 
 
+_CO_VARARGS = 0x04  # the code flag inspect.CO_VARARGS, without importing inspect
+
+
 def _run_action(args) -> int:
     handler = _ACTIONS[args.command][args.action]
     code = handler.__code__
     want = code.co_argcount - 1
-    if not code.co_flags & inspect.CO_VARARGS and len(args.arg) != want:
+    if not code.co_flags & _CO_VARARGS and len(args.arg) != want:
         raise ParameterError(
             f"{args.command} {args.action} takes {want} operand{'s' * (want != 1)}, "
             f"got {len(args.arg)}"

@@ -32,10 +32,10 @@ one permutation of 100 points can already generate 232,792,560 elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations
 from operator import itemgetter, methodcaller
+from typing import NamedTuple
 
 from .errors import InternalError, ParameterError, ParseError, ResourceGuardError
 
@@ -396,8 +396,7 @@ def is_maximal(m, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LabelledSet:
+class LabelledSet(NamedTuple):
     label: str
     elements: frozenset
 
@@ -444,8 +443,7 @@ def predicted_finite_maximals(n: int) -> list[LabelledSet]:
 # -- All maximal subsemigroups, by J-class reduction ----------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """The maximal subsemigroups of the partial injections on n points and
     the maximal elements among their inverse parts, both sorted by
     ``_set_key``.  ``complete`` and ``note`` stay for the pinned summaries;
@@ -453,8 +451,8 @@ class SearchResult:
 
     n: int
     complete: bool
-    maximal: list[frozenset] = field(default_factory=list)
-    maximal_inverse: list[frozenset] = field(default_factory=list)
+    maximal: list[frozenset]
+    maximal_inverse: list[frozenset]
     note: str = ""
 
 

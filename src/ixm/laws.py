@@ -12,13 +12,12 @@ structural conditions that a classification must satisfy.
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product, repeat
 from math import lcm
 from operator import and_, or_
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, ALEPH1, Card, fin
 from .chart import (
@@ -158,8 +157,7 @@ _FAIL_CAP = 20
 # -- Reports -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of one suite run."""
 
     name: str
@@ -177,6 +175,8 @@ class SuiteReport:
 
     @property
     def content_hash(self) -> str:
+        import hashlib  # here, not at module level: no start-up path hashes
+
         payload = "|".join(
             (
                 self.name,
@@ -255,6 +255,8 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> SuiteReport
     n = dflt if cases is None else cases
     if n < 0:
         raise ParameterError("cases must be non-negative")
+    import hashlib
+
     salt = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
     rng = make_rng(seed ^ salt)
     ctx = _Ctx()
@@ -702,9 +704,7 @@ def _suite_meet(ctx, rng, cases):
     for i in range(cases):
         f = random_mixed(rng)
         c = meets[i % len(meets)]
-        both = _in(replace(c, variant="plain"), f) and _in(
-            replace(c, variant="inverse"), f
-        )
+        both = _in(c._replace(variant="plain"), f) and _in(c._replace(variant="inverse"), f)
         ctx.equal(_in(c, f), both, f"case {i}: {render_class(c)} is not the meet")
     return f"meet classes={len(meets)}"
 
@@ -1275,7 +1275,7 @@ def _suite_excluding(ctx, rng, cases):
         c = excluding_maximal(h)
         ctx.check(not in_class(c, h), f"excluder admits {render_chart(h)}")
         ctx.check(
-            not in_class(replace(c, variant="meet"), h),
+            not in_class(c._replace(variant="meet"), h),
             f"meet excluder admits {render_chart(h)}",
         )
         ctx.check(
@@ -1379,8 +1379,7 @@ _SUITES = {
 # -- Candidate-family conditions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Structural audit of a finite candidate family."""
 
     n: int

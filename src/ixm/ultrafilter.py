@@ -28,9 +28,8 @@ p is prime: it is not below MAX_PRIME_TEST = ...").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import count
 from math import lcm
+from typing import NamedTuple
 
 from .cardinal import ALEPH0, fin
 from .chart import Chart, apply_chart, dom_set, im_set, image_of_set
@@ -70,15 +69,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Principal:
-    """The ultrafilter of all sets containing a fixed point."""
-
+class _PrincipalFields(NamedTuple):
     point: int
 
-    def __post_init__(self):
-        if self.point < 0:
+
+class Principal(_PrincipalFields):
+    """The ultrafilter of all sets containing a fixed point."""
+
+    __slots__ = ()
+
+    def __new__(cls, point: int) -> "Principal":
+        if point < 0:
             raise ParameterError("principal point must be a natural number")
+        return tuple.__new__(cls, (point,))
 
 
 def _prime_power(p: int, a: int) -> int:
@@ -90,17 +93,20 @@ def _prime_power(p: int, a: int) -> int:
     return p**a
 
 
-@dataclass(frozen=True)
-class ResidueTower:
+class _TowerFields(NamedTuple):
+    choices: tuple[tuple[int, int, int], ...]  # (prime, exponent, residue)
+
+
+class ResidueTower(_TowerFields):
     """A compatible residue choice at each prime power; finitely many
     primes are non-zero.  ``choices`` maps prime -> (exponent, residue)
     with p**(exponent-1) <= residue < p**exponent: the least exponent."""
 
-    choices: tuple[tuple[int, int, int], ...]  # (prime, exponent, residue)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, choices: tuple[tuple[int, int, int], ...]) -> "ResidueTower":
         seen = set()
-        for p, a, r in self.choices:
+        for p, a, r in choices:
             top = _prime_power(p, a)
             if not 0 < r < top:
                 raise ParameterError(
@@ -111,6 +117,7 @@ class ResidueTower:
             if p in seen:
                 raise ParameterError(f"prime {p} listed twice")
             seen.add(p)
+        return tuple.__new__(cls, (choices,))
 
     def residue_at(self, m: int) -> int:
         """The tower's residue modulo m, from the choices alone: m is not
@@ -142,7 +149,9 @@ class ResidueTower:
 def make_tower(entries) -> ResidueTower:
     """Build a tower from (prime, exponent, residue) triples, merging
     multiple mentions of one prime after checking compatibility; each
-    non-zero residue is stored with its least exponent."""
+    non-zero residue is stored with its least exponent.  Every entry's
+    prime is tested once, here, so the merged choices, which meet every
+    check of ``ResidueTower.__new__`` by construction, go to ``_make``."""
     by_prime: dict[int, tuple[int, int]] = {}
     for p, a, r in entries:
         r %= _prime_power(p, a)
@@ -157,8 +166,14 @@ def make_tower(entries) -> ResidueTower:
             by_prime[p] = hi
         else:
             by_prime[p] = (a, r)
-    pairs = sorted((p, r) for p, (_, r) in by_prime.items() if r)
-    return ResidueTower(tuple((p, next(a for a in count(1) if r < p**a), r) for p, r in pairs))
+    choices = []
+    for p, (_, r) in sorted(by_prime.items()):
+        if r:
+            a, top = 1, p
+            while top <= r:
+                a, top = a + 1, top * p
+            choices.append((p, a, r))
+    return ResidueTower._make((tuple(choices),))
 
 
 ZERO_TOWER = ResidueTower(())

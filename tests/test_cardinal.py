@@ -30,7 +30,7 @@ class TestConstruction:
             fin(-1)
 
     def test_bad_level_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown cardinal level 7"):
             Card(7)
 
     def test_infinite_carries_no_value(self):

@@ -1,5 +1,7 @@
 """Partial bijections of the naturals: construction, algebra, factorisation."""
 
+import copy
+import pickle
 import random
 import time
 from math import gcd, lcm
@@ -13,6 +15,7 @@ from ixm.cardinal import ALEPH0, ZERO, fin
 from ixm.chart import (
     EMPTY_CHART,
     IDENTITY_CHART,
+    Chart,
     Piece,
     apply_chart,
     bijection_between,
@@ -57,13 +60,17 @@ from ixm.errors import (
     ParseError,
     ResourceGuardError,
 )
-from ixm.classes import DOUBLE, SHIFT
+from ixm.classes import DOUBLE, SHIFT, ClassId
+from ixm.finite_model import LabelledSet, SearchResult
+from ixm.laws import ConditionReport, SuiteReport
 from ixm.partition_action import (
+    Word,
     block_evader,
     block_shuffle,
     defect_spreader,
     mod_partition,
     padding_perm,
+    rho_of,
 )
 from ixm.sampling import (
     MAX_FIRST,
@@ -75,6 +82,7 @@ from ixm.sampling import (
     random_permutation,
     random_total,
 )
+from ixm.ultrafilter import Principal, make_tower
 
 EVENS = residue_class(0, 2)
 ODDS = residue_class(1, 2)
@@ -617,6 +625,49 @@ class TestPieceOrder:
         ]
         ints = sorted((pc.src.first, pc.src.step, pc.dst.first, pc.dst.step) for pc in pieces)
         assert [(s.first, s.step, d.first, d.step) for s, d in sorted(pieces)] == ints
+
+
+def _field_tuples() -> list:
+    """One value of each NamedTuple value type outside `epset`."""
+    c = make_chart([(0, 5)], [Piece(Prog(1, 2), Prog(2, 2))])
+    p = mod_partition(3)
+    p.residue_groups  # cached in the instance __dict__, which copies carry
+    return [
+        fin(3),
+        c,
+        stats(c),
+        ClassId("V", "meet", mu=ALEPH0, uf=make_tower([(3, 2, 4)])),
+        Principal(4),
+        make_tower([(2, 1, 1), (3, 2, 4)]),
+        p,
+        rho_of(p, c),
+        Word((("gen", c),), c),
+        LabelledSet("ideal", frozenset({(0, None)})),
+        SearchResult(2, True, [frozenset({(0, 1)})], []),
+        SuiteReport("chart-laws", 0, 1, 1, (), 0, 3),
+        ConditionReport(2, (("closed", True, ""),)),
+    ]
+
+
+class TestValueTypes:
+    """Value types are NamedTuples of their fields, as `Prog` and `EPSet` are."""
+
+    def test_hash_is_the_field_tuples(self):
+        for v in _field_tuples():
+            if type(v) is not SearchResult:  # it holds lists
+                assert v == tuple(v) and hash(v) == hash(tuple(v)), type(v)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_by_their_fields(self, clone):
+        for v in _field_tuples():
+            t = clone(v)
+            assert t == v and type(t) is type(v), type(v)
+            if type(v) is Chart:
+                assert t.pair_map == dict(t.pairs) == {0: 5}
 
 
 class TestChartUnion:

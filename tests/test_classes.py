@@ -1,7 +1,6 @@
 """Membership in the candidate maximal classes S, P, V and A."""
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -62,7 +61,7 @@ TABLE = {
 
 
 def variant(c: ClassId, v: str) -> ClassId:
-    return replace(c, variant=v)
+    return c._replace(variant=v)
 
 
 def every_class():
@@ -108,6 +107,11 @@ def test_alternative_form_agrees_on_filter_classes():
                 for v in ("plain", "inverse", "meet"):
                     c = ClassId("V", v, mu=mu, uf=uf)
                     assert in_class_v_alt(c, f) == in_class(c, f)
+
+
+def test_a_parameter_the_family_does_not_take_is_refused():
+    with pytest.raises(ParameterError, match="family S does not take parameter 'gamma'"):
+        ClassId("S", mu=ALEPH0, gamma=from_finite([1]))
 
 
 def test_alternative_form_is_filter_only():

@@ -1,11 +1,15 @@
 """Source hygiene: every name a library module imports is read somewhere in
 that module, every top-level function is called or named somewhere, every
-module-level name it assigns is read somewhere outside the tests, and the
-package root holds every name the benchmark reads from it.  ``__init__`` is
+module-level name it assigns is read somewhere outside the tests, the
+package root holds every name the benchmark reads from it, and importing
+the package loads no module that start-up does not use.  ``__init__`` is
 exempt from the first three, because it imports to re-export."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +132,20 @@ def test_the_root_holds_every_name_the_benchmark_reads():
         if not hasattr(ixm, name) and importlib.util.find_spec(f"ixm.{name}") is None
     ]
     assert missing == []
+
+
+def test_import_loads_no_module_that_start_up_does_not_use():
+    # Each costs start-up time (dataclasses alone about 15 ms, with inspect,
+    # ast and dis); the code that needs hashlib or json imports it where it
+    # runs.
+    code = (
+        "import sys; before = set(sys.modules); import ixm, ixm.cli, ixm.laws; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(ixm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert "ixm.laws" in loaded
+    assert {"dataclasses", "inspect", "hashlib", "json"}.isdisjoint(loaded)

@@ -7,7 +7,6 @@ purpose, and say why in CHANGES.md.
 """
 
 import hashlib
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -144,7 +143,7 @@ def test_the_three_variants_of_a_class_share_one_memo_entry(monkeypatch):
         for c in plains:
             before = len(laws._MEMBER_CACHE)
             for variant in VARIANTS:
-                laws._in(replace(c, variant=variant), f)
+                laws._in(c._replace(variant=variant), f)
             assert len(laws._MEMBER_CACHE) == before + 1, (render_class(c), f)
 
 

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -109,6 +109,28 @@ def relations():
     )
 
 
+@st.composite
+def _near_partitions(draw):
+    """Two to four moieties that partition the naturals: a threshold below
+    7, a period below 25, and each residue and low point in one block.  Up
+    to two residues or low points are then put in a second block too, so
+    about a third of the lists meet, in their tails or below them."""
+    k, m, n = draw(st.integers(2, 4)), draw(st.integers(4, 24)), draw(st.integers(0, 6))
+    owner = draw(st.permutations([*range(k), *draw(st.lists(st.integers(0, k - 1),
+                                                            min_size=m - k, max_size=m - k))]))
+    res = [{r for r in range(m) if owner[r] == j} for j in range(k)]
+    low = [set() for _ in range(k)]
+    for x in range(n):
+        low[draw(st.integers(0, k - 1))].add(x)
+    for in_tail, i, j in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 23),
+                                                 st.integers(0, 3)), max_size=2)):
+        if in_tail and len(res[j % k]) < m - 1:  # a block of every residue is no moiety
+            res[j % k].add(i % m)
+        elif not in_tail and n:
+            low[j % k].add(i % n)
+    return [make_epset(n, m, res[j], low[j]) for j in range(k)]
+
+
 class TestRho:
     @settings(max_examples=150, deadline=None)
     @given(partitions(), st.randoms(use_true_random=False))
@@ -207,6 +229,13 @@ class TestText:
             ([residue_class(0, 2), residue_class(0, 4), residue_class(1, 2)], "blocks overlap"),
             # Overlap is reported before a missing cover.
             ([residue_class(0, 4), residue_class(0, 8), residue_class(1, 4)], "blocks overlap"),
+            # The union would have period 31,505,922, past the mask limit: the
+            # overlap is found pairwise, before any union is formed.
+            (
+                [residue_class(0, 2), residue_class(0, 4), residue_class(2401, 4802),
+                 residue_class(6561, 13122)],
+                "blocks overlap",
+            ),
             ([residue_class(0, 4), residue_class(2, 4), residue_class(1, 4)], "do not cover"),
             ([residue_class(0, 2).difference(from_finite([4])), residue_class(1, 2)], "do not cover"),
         ],
@@ -214,6 +243,17 @@ class TestText:
     def test_blocks_that_are_not_a_partition_are_refused(self, blocks, message):
         with pytest.raises(ParameterError, match=message):
             make_partition(blocks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_near_partitions())
+    def test_overlap_is_refused_iff_two_blocks_meet(self, blocks):
+        meet = any(not a.intersect(b).is_empty() for a, b in combinations(blocks, 2))
+        try:
+            make_partition(blocks)
+        except ParameterError as exc:
+            assert (str(exc) == "blocks overlap") == meet
+        else:
+            assert not meet
 
     @pytest.mark.parametrize(
         "text",

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ixm.ultrafilter as ultrafilter_module
 from ixm.cardinal import ALEPH0, fin
 from ixm.chart import (
     IDENTITY_CHART,
@@ -68,7 +69,7 @@ class TestPrincipal:
         assert not uf_contains(Principal(3), EVENS)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="natural number"):
             Principal(-1)
 
     def test_min_and_kind(self):
@@ -166,6 +167,16 @@ class TestTowerConstruction:
     def test_make_tower_rejects_incompatible_entries(self):
         with pytest.raises(ParameterError):
             make_tower([(3, 1, 1), (3, 2, 5)])
+
+    def test_make_tower_tests_each_entry_prime_once(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(ultrafilter_module, "_is_prime", lambda p: tested.append(p) or _is_prime(p))
+        t = make_tower([(2, 1, 1), (3, 2, 4), (5, 1, 0)])
+        assert sorted(tested) == [2, 3, 5]
+        with pytest.raises(ParameterError, match="4 is not prime"):
+            make_tower([(4, 1, 0)])  # an entry that is dropped is tested too
+        monkeypatch.undo()
+        assert t.choices == ((2, 1, 1), (3, 2, 4)) and ResidueTower(t.choices) == t
 
     def test_make_tower_drops_zero_residues(self):
         assert make_tower([(3, 1, 0)]) == ZERO_TOWER
