@@ -471,9 +471,6 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["chart", "apply", "chart { pair 0 -> 1; }", "x"], 2),
         (["chart", "apply", "chart { piece (0 mod 1 from 0) -> (0 mod 1 from 0); }", "-3"], 2),
         (["chart", "parse", "chart { pair 0 -> 1; pair 2 -> 1 }"], 2),
-        # Overlapping blocks whose union passes the mask limit: refused as overlap.
-        (["rel", "rho", "part blocks ep N=0 m=2 R={0} L={} | ep N=0 m=4 R={0} L={} | "
-          "ep N=0 m=4802 R={2401} L={} | ep N=0 m=13122 R={6561} L={}", "chart { }"], 2),
         (["conditions", "--n", "1"], 2),
         (["conditions", "--n", "5", "--group", "sym"], 2),
         (["conditions", "--n", "6"], 3),
@@ -484,6 +481,9 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         (["class", "member", "S[mu=aleph0;mu=aleph0]", "chart { }"], 2),
         (["uf", "contains", "uf tower [2^1=1]", "ep N=0 m=2 R={1} L={} X=7"], 2),
         (["uf", "contains", "uf tower [2^1=1]", "ep N=0 N=4 m=2 R={1} L={}"], 2),
+        # Overlapping blocks whose union passes the mask limit: refused as overlap.
+        (["rel", "rho", "part blocks ep N=0 m=2 R={0} L={} | ep N=0 m=4 R={0} L={} | "
+          "ep N=0 m=4802 R={2401} L={} | ep N=0 m=13122 R={6561} L={}", "chart { }"], 2),
     ],
 )
 def test_exit_codes(argv, code, capsys):
