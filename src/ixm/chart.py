@@ -13,14 +13,15 @@ Composition is written left to right throughout: (x)(f * g) = ((x)f)g.
 Injectivity is checked where a chart enters the program: `make_chart`, and
 `parse_chart` and `chart_union` through it, run `_validate` on their input
 (`parse_chart` reports a clash as a `ParseError`, like the other literals).
-`compose`, `invert`, `identity_on`, `bijection_between`,
-`extend_to_bijection` and the private `_disjoint_union` (for parts that
-are disjoint by construction: `extend_to_bijection` here, and in
-`partition_action` the maps between blocks of `block_shuffle`,
-`padding_perm`, `defect_spreader` and `_image_aligner`) build maps that
-are injective by construction and go straight to the private `_chart`;
-a property test over their output
-(tests/test_chart.py, `TestInjectiveByConstruction`) carries the check.
+`compose`, `identity_on`, `bijection_between`, `extend_to_bijection` and
+the private `_disjoint_union` (for parts that are disjoint by
+construction: `extend_to_bijection` here, and in `partition_action` the
+maps between blocks of `block_shuffle`, `padding_perm`, `defect_spreader`
+and `_image_aligner`) build maps that are injective by construction and
+go straight to the private `_chart`; `invert` swaps a canonical chart
+into a canonical chart and builds the `Chart` itself.  A property test
+over their output (tests/test_chart.py, `TestInjectiveByConstruction`)
+carries the check.
 Every chart is canonicalised: pieces are regrouped by the affine rule they
 apply, each group's sources are expressed with the minimal period, every
 piece starts at the least point from which its whole residue class follows
@@ -113,6 +114,17 @@ def _least_period(classes: list[int], span: int) -> int:
     return cs[word.count(",", 0, (word + word).find(word, 1))] - cs[0]
 
 
+def _lookup(pair_map: dict[int, int], ints: list[tuple[int, int, int, int]], x: int) -> int | None:
+    """The image of x under the pairs and the (sf, ss, df, ds) pieces, or None."""
+    y = pair_map.get(x)
+    if y is not None:
+        return y
+    for sf, ss, df, ds in ints:
+        if x >= sf and (x - sf) % ss == 0:
+            return df + (x - sf) // ss * ds
+    return None
+
+
 def _canonicalize(
     pair_map: dict[int, int], pieces: list[Piece]
 ) -> tuple[dict[int, int], list[Piece]]:
@@ -131,7 +143,13 @@ def _canonicalize(
     from its own first point, and keeps the input piece if the start stays.
     In a larger group, the walk for a new piece starts at the latest first
     point of the old pieces in its class, and an old piece is walked only up
-    to the canonical start of each class it meets.  The walks are the only
+    to the canonical start of each class it meets.  A walk steps only onto
+    pairs and its own group's pieces: if, in an injective input, another
+    piece's source held a point of the walked class, it would hold points
+    of that class past the walk's start too (every lcm of the two steps
+    on), where the group's old pieces lie.  So a lone piece walks down
+    against `pair_map` alone, and a larger group against the pairs and its
+    own pieces.  The walks are the only
     source of covered pairs: from a walk's first point on, its class lies
     on old pieces, which no pair of the injective input meets, and demoted
     points lie below their class's start.  So the output pairs are the input
@@ -146,15 +164,6 @@ def _canonicalize(
     if not pieces:
         return dict(pair_map), []
     ints = [src + dst for src, dst in pieces]  # plain (sf, ss, df, ds) tuples unpack fast
-
-    def lookup(x: int) -> int | None:
-        y = pair_map.get(x)
-        if y is not None:
-            return y
-        for sf, ss, df, ds in ints:
-            if x >= sf and (x - sf) % ss == 0:
-                return df + (x - sf) // ss * ds
-        return None
 
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, (sf, ss, df, ds) in enumerate(ints):
@@ -171,7 +180,7 @@ def _canonicalize(
         if len(idx) == 1:
             sf, ss, df, ds = ints[idx[0]]
             v, y = sf, df
-            while v - ss >= 0 and y - ds >= 0 and lookup(v - ss) == y - ds:
+            while v - ss >= 0 and y - ds >= 0 and pair_map.get(v - ss) == y - ds:
                 v -= ss
                 y -= ds
                 out_pairs.pop(v, None)
@@ -198,8 +207,12 @@ def _canonicalize(
         starts: dict[int, int] = {}
         for r, top in tops.items():
             v = r + -(-(top - r) // period) * period
-            y = lookup(v)
-            while v - period >= 0 and y - step_out >= 0 and lookup(v - period) == y - step_out:
+            y = _lookup(pair_map, grp, v)
+            while (
+                v - period >= 0
+                and y - step_out >= 0
+                and _lookup(pair_map, grp, v - period) == y - step_out
+            ):
                 v -= period
                 y -= step_out
                 out_pairs.pop(v, None)
@@ -308,36 +321,68 @@ def apply_chart(c: Chart, x: int) -> int | None:
 
 
 def compose(f: Chart, g: Chart) -> Chart:
-    """Left-to-right composition f then g."""
+    """Left-to-right composition f then g.
+
+    The cost rule: each pair of f is read through ``g.pair_map`` first and
+    through g's pieces only if it misses; each piece pair costs one gcd, and
+    only a pair that meets costs a Chinese remainder solve (one modular
+    inverse), from whose least common point the product piece is built.
+    Everything runs on g's pieces read once as plain (c0, c1, e0, e1) ints.
+    """
+    g_map = g.pair_map
+    g_ints = [src + dst for src, dst in g.pieces]
     pairs = {}
     pieces = []
     for x, y in f.pairs:
-        z = apply_chart(g, y)
+        z = g_map.get(y)
+        if z is None:
+            for c0, c1, e0, e1 in g_ints:
+                if y >= c0 and (y - c0) % c1 == 0:
+                    z = e0 + (y - c0) // c1 * e1
+                    break
         if z is not None:
             pairs[x] = z
-    for pf in f.pieces:
+    for (a0, a1), (b0, b1) in f.pieces:
         for y, z in g.pairs:
-            if y in pf.dst:
-                pairs[pf.src.value(pf.dst.index(y))] = z
-        for pg in g.pieces:
-            mid = progs_intersect(pf.dst, pg.src)
-            if mid is None:
+            if y >= b0 and (y - b0) % b1 == 0:
+                pairs[a0 + (y - b0) // b1 * a1] = z
+        for c0, c1, e0, e1 in g_ints:
+            # f's destination b0 + b1*t meets g's source c0 + c1*s iff the
+            # starts agree mod h; then t solves one congruence mod k, and
+            # the product starts at the least such point at or past c0.
+            h = gcd(b1, c1)
+            if (c0 - b0) % h:
                 continue
-            i0 = pf.dst.index(mid.first)
-            k_f = mid.step // pf.dst.step
-            j0 = pg.src.index(mid.first)
-            k_g = mid.step // pg.src.step
+            k = c1 // h
+            t = (c0 - b0) // h * pow(b1 // h, -1, k) % k
+            x = b0 + b1 * t
+            if x < c0:
+                t += -(-(c0 - x) // (b1 * k)) * k
+                x = b0 + b1 * t
             pieces.append(
-                Piece(
-                    Prog(pf.src.value(i0), pf.src.step * k_f),
-                    Prog(pg.dst.value(j0), pg.dst.step * k_g),
-                )
+                Piece(Prog(a0 + a1 * t, a1 * k), Prog(e0 + (x - c0) // c1 * e1, e1 * (b1 // h)))
             )
     return _chart(pairs, pieces)
 
 
 def invert(f: Chart) -> Chart:
-    return _chart({y: x for x, y in f.pairs}, [Piece(pc.dst, pc.src) for pc in f.pieces])
+    """The inverse chart, read off f's canonical form with no canonicalising.
+
+    Swapping each pair and piece of a canonical chart gives a canonical
+    chart: a rule group x -> (a*x + c)/b becomes the group of the inverse
+    rule, with the same pieces.  Its image lies in one class mod a (b*y = a*x
+    + c with a, b coprime), so a shift of the image by any period is a*s and
+    moves the sources by b*s; the least period of the swapped group is thus
+    the old one times a/b, its pieces' destination step.  At a piece's
+    start the walk-down test, that f sends v - p to y - q, is the inverse's
+    test at y read backwards, so it fails there too, and no start moves and
+    nothing is demoted.
+    """
+    return Chart(
+        frozenset((y, x) for x, y in f.pairs),
+        tuple(sorted(Piece(dst, src) for src, dst in f.pieces)),
+        {y: x for x, y in f.pairs},
+    )
 
 
 def chart_union(*charts: Chart) -> Chart:

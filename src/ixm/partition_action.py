@@ -25,7 +25,7 @@ relation has up to n^2 pairs.  On a shared 2-core Xeon, ``ixm rel rho`` of
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
 from operator import add, eq
 from typing import NamedTuple
@@ -72,11 +72,12 @@ class FinPartition(_PartitionFields):
 
     @cached_property
     def residue_groups(self) -> tuple:
-        """((period, [(block index, residues), ...]), ...): the blocks by period."""
+        """((period, ((residue, block index), ...)), ...): the blocks' residues
+        by period."""
         groups: dict[int, list] = {}
         for i, b in enumerate(self.blocks):
-            groups.setdefault(b.period, []).append((i, tuple(b.residues)))
-        return tuple(groups.items())
+            groups.setdefault(b.period, []).extend((r, i) for r in b.residues)
+        return tuple((m, tuple(rs)) for m, rs in groups.items())
 
 
 def _guard_blocks(n: int, what: str) -> None:
@@ -300,32 +301,38 @@ def rho_of(p: FinPartition, f: Chart) -> BinRel:
     k = m_i/g, for a u = (r - a)/g * (q/g)^-1 with r in R_i, r = a (mod g) and
     g = gcd(m_i, q), as in ``epset.affine_image``; b + q2*t is in block j iff
     t = v (mod k') alike, so (i, j) is a pair iff some u = v (mod gcd(k, k')).
-    Pairs never count.  A piece costs G * (G + 2R) steps for G block periods
-    and R block residues, none up to a period; ``MAX_RHO_STEPS`` bounds a call.
+    Pairs never count.  A piece is charged G * (G + 2R) steps for G block
+    periods and R block residues, none up to a period; ``MAX_RHO_STEPS``
+    bounds a call.
     """
-    g, r = len(p.residue_groups), sum(len(b.residues) for b in p.blocks)
-    if (steps := len(f.pieces) * g * (g + 2 * r)) > MAX_RHO_STEPS:
+    groups = p.residue_groups
+    periods, residues = len(groups), sum(len(rs) for _, rs in groups)
+    if (steps := len(f.pieces) * periods * (periods + 2 * residues)) > MAX_RHO_STEPS:
         raise ResourceGuardError(f"block relation takes {steps} steps, past {MAX_RHO_STEPS}")
     rows = [0] * p.n
     for (a, q), (b, q2) in f.pieces:
-        for (m, src), (m2, dst) in product(p.residue_groups, repeat=2):
-            (k, us), (k2, vs) = _index_classes(m, src, a, q), _index_classes(m2, dst, b, q2)
-            d = gcd(k, k2)
-            into: dict[int, int] = {}
-            for v, j in vs:
-                into[v % d] = into.get(v % d, 0) | 1 << j
-            for u, i in us:
-                rows[i] |= into.get(u % d, 0)
+        # Each end's g, k and inverse once per block period; the destination
+        # classes are listed once, as (v, block bit), for every source period.
+        into_blocks = []
+        for m, rs in groups:
+            g = gcd(m, q2)
+            k = m // g
+            inv = pow(q2 // g, -1, k)
+            vs = [((r - b) // g * inv % k, 1 << j) for r, j in rs if (r - b) % g == 0]
+            into_blocks.append((k, vs))
+        for m, rs in groups:
+            g = gcd(m, q)
+            k = m // g
+            inv = pow(q // g, -1, k)
+            for k2, vs in into_blocks:
+                d = gcd(k, k2)
+                into: dict[int, int] = {}
+                for v, bit in vs:
+                    into[v % d] = into.get(v % d, 0) | bit
+                for r, i in rs:
+                    if (r - a) % g == 0:
+                        rows[i] |= into.get((r - a) // g * inv % k % d, 0)
     return BinRel(p.n, tuple(rows))
-
-
-def _index_classes(m: int, members, first: int, step: int):
-    """(k, pairs (u, i)): for all large t = u (mod k), first + step*t is in block i."""
-    g = gcd(m, step)
-    k = m // g
-    inv = pow(step // g, -1, k)
-    return k, (((r - first) // g * inv % k, i)
-               for i, rs in members for r in rs if (r - first) % g == 0)
 
 
 def block_stabilises(p: FinPartition, f: Chart) -> bool:

@@ -224,6 +224,91 @@ class TestCompose:
                 assert apply_chart(ab, x) == want
 
 
+# -- Composition where the steps are large ------------------------------------
+#
+# `random_chart` draws steps up to 12 in a 60-point window, where every piece
+# pair meets at a small point.  Here f's destinations and g's sources have
+# steps up to 1,000 and starts up to 10,000: f's pieces take the classes i
+# mod n_f, with destinations in class i mod n_f, and g's pieces the classes
+# j mod n_g alike, so each chart is injective.  The cofactor steps go up to
+# 20 or 500 (small ones make the lift below g's start common) and are drawn
+# coprime half the time.  A few pairs sit below the starts, some of g's on
+# f's destinations.
+
+
+def _crt_charts(rng):
+    n_f, n_g = rng.randint(1, 2), rng.randint(1, 2)
+    w = rng.randint(1, rng.choice((20, 500)))
+    c1 = n_g * w
+    f_pieces, g_pieces = [], []
+    for i in range(n_f):
+        u = rng.randint(1, rng.choice((20, 500)))
+        if rng.random() < 0.5:
+            while gcd(u, w) != 1:
+                u = rng.randint(1, 500)
+        a0, b0 = i + n_f * rng.randint(0, 5000), i + n_f * rng.randint(0, 5000)
+        f_pieces.append(Piece(Prog(a0, n_f), Prog(b0, n_f * u)))
+    for j in range(n_g):
+        c0, e0 = j + n_g * rng.randint(0, 5000), j + n_g * rng.randint(0, 50)
+        g_pieces.append(Piece(Prog(c0, c1), Prog(e0, n_g)))
+    f_low = min(pc.src.first for pc in f_pieces), min(pc.dst.first for pc in f_pieces)
+    g_low = min(pc.src.first for pc in g_pieces), min(pc.dst.first for pc in g_pieces)
+    on_f = [pc.dst.value(t) for pc in f_pieces for t in range(3)]
+    g_sources = rng.sample(range(g_low[0]), min(3, g_low[0]))
+    g_sources += [y for y in on_f if y < g_low[0] and y not in g_sources]
+    n = min(3, *f_low)
+    f_pairs = zip(rng.sample(range(f_low[0]), n), rng.sample(range(f_low[1]), n))
+    g_pairs = zip(g_sources, rng.sample(range(g_low[1]), min(len(g_sources), g_low[1])))
+    return make_chart(f_pairs, f_pieces), make_chart(g_pairs, g_pieces)
+
+
+def _crt_branches(f, g):
+    """Which of `compose`'s piece-pair branches (f, g) takes: "no meet" for a
+    pair whose progressions are disjoint, "lift" for one whose least common
+    point past f's destination start lies below g's source start."""
+    taken = set()
+    for pf in f.pieces:
+        for pg in g.pieces:
+            (b0, b1), (c0, c1) = pf.dst, pg.src
+            h = gcd(b1, c1)
+            if (c0 - b0) % h:
+                taken.add("no meet")
+            elif next(b0 + b1 * t for t in range(c1 // h) if (b0 + b1 * t - c0) % c1 == 0) < c0:
+                taken.add("lift")
+    return taken
+
+
+class TestComposeLargeSteps:
+    @staticmethod
+    def check(f, g):
+        """Pointwise over the largest threshold plus the lcm of the source
+        steps, a period of the composite in f's source coordinates."""
+        fg = compose(f, g)
+        # Where each f destination first reaches each g source start.
+        reach = [
+            pf.src.value(max(0, -(-(pg.src.first - pf.dst.first) // pf.dst.step)))
+            for pf in f.pieces
+            for pg in g.pieces
+        ]
+        progs = [pc.src for c in (f, g, fg) for pc in c.pieces]
+        threshold = max(reach + [p.first for p in progs] + [x for c in (f, fg) for x, _ in c.pairs])
+        window = threshold + lcm(*(p.step for p in progs)) + 1
+        for x in range(window):
+            y = apply_chart(f, x)
+            assert apply_chart(fg, x) == (None if y is None else apply_chart(g, y)), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_equals_pointwise_composition(self, rng):
+        self.check(*_crt_charts(rng))
+
+    def test_the_charts_reach_both_branches(self):
+        taken = set()
+        for seed in range(60):
+            taken |= _crt_branches(*_crt_charts(random.Random(seed)))
+        assert taken == {"no meet", "lift"}
+
+
 class TestInvert:
     def test_doubling(self):
         assert invert(DOUBLE) == make_chart((), (Piece(Prog(0, 2), Prog(0, 1)),))
@@ -1181,7 +1266,12 @@ class TestCanonicalizeAgainstOracle:
         for _ in range(150):
             f, g = random_mixed(rng), random_mixed(rng)
             compose(f, g)
-            invert(f)
+            # `invert` builds its chart without `_canonicalize`; its output
+            # must be what the general canonicaliser makes of the swap.
+            inv = invert(f)
+            swapped_map = {y: x for x, y in f.pairs}
+            swapped = [Piece(pc.dst, pc.src) for pc in f.pieces]
+            _assert_same_canonical_form((inv.pair_map, list(inv.pieces)), swapped_map, swapped)
         assert len(seen) >= 300
 
     def test_postcondition_runs_only_when_the_form_changes(self, monkeypatch):
@@ -1213,6 +1303,37 @@ class TestCanonicalizeAgainstOracle:
         assert validations((), (_ident(0, 2), _ident(103, 2))) == 2
 
 
+def _assert_swap_is_canonical(c):
+    """The swapped pairs and pieces of the canonical chart c come back from
+    `_canonicalize` unchanged (up to piece order), and are `invert(c)`."""
+    pair_map = {y: x for x, y in c.pairs}
+    pieces = [Piece(dst, src) for src, dst in c.pieces][::-1]
+    out_pairs, out_pieces = chart_module._canonicalize(pair_map, pieces)
+    assert list(out_pairs.items()) == list(pair_map.items())
+    assert out_pieces == sorted(pieces)
+    inv = invert(c)
+    assert inv == Chart(frozenset(out_pairs.items()), tuple(out_pieces))
+    assert inv.pair_map == pair_map
+    assert invert(inv) == c
+
+
+class TestInvertIsCanonical:
+    @settings(max_examples=300, deadline=None)
+    @given(presentations())
+    def test_swapped_presentations(self, drawn):
+        _assert_swap_is_canonical(make_chart(*drawn))
+
+    def test_swapped_library_outputs(self):
+        rng = make_rng(73)
+        for _ in range(150):
+            f, g = random_mixed(rng), random_mixed(rng)
+            for c in (f, compose(f, g), compose(invert(f), g), restrict(f, random_epset(rng))):
+                _assert_swap_is_canonical(c)
+        for _ in range(20):
+            h = random_mixed(rng)
+            _assert_swap_is_canonical(sandwich_factorize(h, TestSandwich.F, TestSandwich.G, EVENS))
+
+
 # -- Builders whose output is injective by construction ---------------------
 
 
@@ -1236,11 +1357,12 @@ def _built_by_construction(f, g):
 
 
 class TestInjectiveByConstruction:
-    """`compose`, `invert`, `identity_on`, `bijection_between`,
-    `extend_to_bijection` and `_disjoint_union` (which unites the maps between
-    blocks of `block_shuffle`, `padding_perm`, `defect_spreader` and
-    `_image_aligner`) skip `make_chart`'s injectivity check; here their
-    output must pass it and be the chart that `make_chart` builds."""
+    """`compose`, `identity_on`, `bijection_between`, `extend_to_bijection`
+    and `_disjoint_union` (which unites the maps between blocks of
+    `block_shuffle`, `padding_perm`, `defect_spreader` and `_image_aligner`)
+    go through `_chart` and skip `make_chart`'s injectivity check; `invert`
+    skips `_chart` as well.  Here their output must pass the check and be
+    the chart that `make_chart` builds."""
 
     @staticmethod
     def check(f, g):

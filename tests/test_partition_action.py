@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations, permutations, product
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 
@@ -151,6 +152,46 @@ class TestRho:
         # Only the piece on the evens is infinite; the pair 1 -> 0 is not.
         f = make_chart([(1, 0)], (Piece(Prog(0, 2), Prog(1, 2)),))
         assert rho_of(mod_partition(2), f) == rel_from_pairs(2, [(0, 1)])
+
+
+def _rho_per_period_pair(p, f):
+    """`rho_of`'s formula as first written: both ends' index classes solved
+    afresh for every pair of block periods, each reduced mod gcd(k, k')."""
+
+    def index_classes(m, members, first, step):
+        g = gcd(m, step)
+        k = m // g
+        inv = pow(step // g, -1, k)
+        return k, [
+            ((r - first) // g * inv % k, i) for i, rs in members for r in rs if (r - first) % g == 0
+        ]
+
+    by_period = {}
+    for i, b in enumerate(p.blocks):
+        by_period.setdefault(b.period, []).append((i, b.residues))
+    rows = [0] * p.n
+    for (a, q), (b, q2) in f.pieces:
+        for (m, src), (m2, dst) in product(by_period.items(), repeat=2):
+            (k, us), (k2, vs) = index_classes(m, src, a, q), index_classes(m2, dst, b, q2)
+            d = gcd(k, k2)
+            into = {}
+            for v, j in vs:
+                into[v % d] = into.get(v % d, 0) | 1 << j
+            for u, i in us:
+                rows[i] |= into.get(u % d, 0)
+    return BinRel(p.n, tuple(rows))
+
+
+def test_rho_equals_the_per_period_pair_formula():
+    lopsided = make_partition(residue_class(r, m) for r, m in ((0, 4), (2, 4), (1, 2)))
+    two_periods = make_partition(residue_class(r, m) for r, m in ((0, 3), (1, 6), (4, 6), (2, 3)))
+    parts = [*map(mod_partition, range(2, 6)), lopsided, two_periods]
+    assert [len(p.residue_groups) for p in parts] == [1, 1, 1, 1, 2, 2]
+    rng = random.Random(29)
+    for _ in range(2000):
+        f = random_mixed(rng)
+        for p in parts:
+            assert rho_of(p, f) == _rho_per_period_pair(p, f)
 
 
 class TestText:
